@@ -13,9 +13,11 @@
 //! * **expansions** — nodes settled across all wavefronts. Bounded by
 //!   `single + retargets` (a deferred pack re-key wastes at most one
 //!   steered-dead pop), so this column moves little in either direction.
-//! * **retargets** — frontier-heap re-keys, each O(|frontier|) heap
-//!   rebuilding. This is where packs win: k single-target resolutions
-//!   pay k re-keys, a pack pays one plus one per steered-dead pop.
+//! * **retargets** — frontier-heap re-keys, each one compaction pass
+//!   over the frontier keys touched since the last re-key plus an
+//!   O(|live frontier|) heapify. This is where packs win: k single-target
+//!   resolutions pay k re-keys, a pack pays one plus one per
+//!   steered-dead pop.
 //! * **page faults** (cold/warm) and **wall / response time**.
 //!
 //! Counters are deterministic (DESIGN.md §10), so the counter columns of

@@ -295,15 +295,9 @@ impl<'a> AStar<'a> {
         if let Some(dv) = self.dist.get_copied(lbt.ev) {
             known = known.min(dv + lbt.tv);
         }
-        // Rebuild the frontier heap with the new heuristic. NodeMap::iter
-        // walks only touched nodes, so a retarget costs O(|frontier|), not
-        // O(|V|).
-        self.heap.clear();
-        for (n, &(g, p)) in self.open.iter() {
-            let key = g + self.ctx.lb.node_bound(n, p, &lbt);
-            self.heap
-                .push(Reverse((OrdF64::new(key), OrdF64::new(g), n)));
-        }
+        // Re-key: one compaction pass plus an O(|live frontier|) heapify.
+        let lb = self.ctx.lb;
+        self.rebuild_heap(|n, p| Some(lb.node_bound(n, p, &lbt)));
         let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
         self.target = Some(Target {
             pos,
@@ -402,25 +396,28 @@ impl<'a> AStar<'a> {
                 t.plb
             );
         }
+        // If we settle an endpoint of the target edge, a concrete path to
+        // the target is now known.
+        let t = self.target.as_mut().expect("advance requires a target");
+        if n == t.lbt.eu {
+            t.known = t.known.min(g + t.lbt.tu);
+        }
+        if n == t.lbt.ev {
+            t.known = t.known.min(g + t.lbt.tv);
+        }
+        let (lb, lbt) = (self.ctx.lb, t.lbt);
+        self.expand(n, g, |m, p| Some(lb.node_bound(m, p, &lbt)));
+        true
+    }
+
+    /// Settles frontier node `n` at its exact distance `g` and relaxes its
+    /// out-edges (one counted page access), keying each improved frontier
+    /// entry `g' + h(node, point)`; `h` returning `None` leaves it unkeyed.
+    fn expand(&mut self, n: NodeId, g: f64, h: impl Fn(NodeId, Point) -> Option<f64>) {
         self.open.remove(n);
         self.dist.insert(n, g);
         self.expansions += 1;
-
-        // If we settled an endpoint of the target edge, a concrete path to
-        // the target is now known.
-        {
-            let t = self.target.as_mut().expect("advance requires a target");
-            if n == t.lbt.eu {
-                t.known = t.known.min(g + t.lbt.tu);
-            }
-            if n == t.lbt.ev {
-                t.known = t.known.min(g + t.lbt.tv);
-            }
-        }
-
-        // Expand: one counted page access.
         self.ctx.store.read_adjacency_into(n, &mut self.rec);
-        let lbt = self.target.as_ref().expect("target set").lbt;
         for i in 0..self.rec.entries.len() {
             let ent = self.rec.entries[i];
             if self.dist.contains(ent.node) {
@@ -433,12 +430,44 @@ impl<'a> AStar<'a> {
             };
             if better {
                 self.open.insert(ent.node, (ng, ent.point));
-                let key = ng + self.ctx.lb.node_bound(ent.node, ent.point, &lbt);
-                self.heap
-                    .push(Reverse((OrdF64::new(key), OrdF64::new(ng), ent.node)));
+                if let Some(h) = h(ent.node, ent.point) {
+                    self.heap
+                        .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
+                }
             }
         }
-        true
+    }
+
+    /// Re-keys the frontier heap under heuristic `h` (as in `expand`): one
+    /// pass over the keys touched since the last re-key (compaction), then
+    /// an O(|live frontier|) heapify in the heap's own buffer. Pops follow
+    /// the total order on `(key, g, node)`, so results do not depend on
+    /// how the heap was built.
+    fn rebuild_heap(&mut self, h: impl Fn(NodeId, Point) -> Option<f64>) {
+        self.open.compact();
+        #[cfg(feature = "invariant-checks")]
+        let mut unkeyed = 0usize;
+        let mut buf = std::mem::take(&mut self.heap).into_vec();
+        buf.clear();
+        buf.extend(self.open.iter().filter_map(|(n, &(g, p))| {
+            let Some(h) = h(n, p) else {
+                #[cfg(feature = "invariant-checks")]
+                {
+                    unkeyed += 1;
+                }
+                return None;
+            };
+            Some(Reverse((OrdF64::new(g + h), OrdF64::new(g), n)))
+        }));
+        self.heap = BinaryHeap::from(buf);
+        // Contract: one entry per live frontier node `h` keyed (all of them
+        // for a single target); a stale or duplicated key shows here.
+        #[cfg(feature = "invariant-checks")]
+        assert_eq!(
+            self.heap.len() + unkeyed,
+            self.open.len(),
+            "A* re-key heap does not match the live frontier"
+        );
     }
 
     /// Resolves the current target completely and returns its distance.
@@ -600,9 +629,6 @@ impl<'a> AStar<'a> {
                 .get(n)
                 .and_then(|&(_, p)| pack_argmin(self.ctx.lb, &ts, n, p))
                 .is_some_and(|(j, _)| ts[j].resolved);
-            self.open.remove(n);
-            self.dist.insert(n, g);
-            self.expansions += 1;
 
             for t in ts.iter_mut() {
                 if t.resolved {
@@ -616,26 +642,8 @@ impl<'a> AStar<'a> {
                 }
             }
 
-            // Expand: one counted page access.
-            self.ctx.store.read_adjacency_into(n, &mut self.rec);
-            for i in 0..self.rec.entries.len() {
-                let ent = self.rec.entries[i];
-                if self.dist.contains(ent.node) {
-                    continue;
-                }
-                let ng = g + ent.length;
-                let better = match self.open.get(ent.node) {
-                    Some(&(cur, _)) => ng < cur,
-                    None => true,
-                };
-                if better {
-                    self.open.insert(ent.node, (ng, ent.point));
-                    if let Some((_, h)) = pack_argmin(self.ctx.lb, &ts, ent.node, ent.point) {
-                        self.heap
-                            .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
-                    }
-                }
-            }
+            let lb = self.ctx.lb;
+            self.expand(n, g, |m, p| pack_argmin(lb, &ts, m, p).map(|(_, h)| h));
 
             if steered_dead {
                 rekeys += 1;
@@ -660,14 +668,8 @@ impl<'a> AStar<'a> {
         for t in ts.iter_mut() {
             t.in_epoch = !t.resolved;
         }
-        self.heap.clear();
-        for (n, &(g, p)) in self.open.iter() {
-            let Some((_, h)) = pack_argmin(self.ctx.lb, ts, n, p) else {
-                continue;
-            };
-            self.heap
-                .push(Reverse((OrdF64::new(g + h), OrdF64::new(g), n)));
-        }
+        let lb = self.ctx.lb;
+        self.rebuild_heap(|n, p| pack_argmin(lb, ts, n, p).map(|(_, h)| h));
         if seed_known {
             for t in ts.iter_mut() {
                 if t.resolved {
@@ -1021,27 +1023,7 @@ mod tests {
             let Some(Reverse((_, gk, n))) = astar.heap.pop() else {
                 break;
             };
-            let gk = gk.get();
-            astar.open.remove(n);
-            astar.dist.insert(n, gk);
-            astar.ctx.store.read_adjacency_into(n, &mut astar.rec);
-            for i in 0..astar.rec.entries.len() {
-                let ent = astar.rec.entries[i];
-                if astar.dist.contains(ent.node) {
-                    continue;
-                }
-                let ng = gk + ent.length;
-                let better = match astar.open.get(ent.node) {
-                    Some(&(cur, _)) => ng < cur,
-                    None => true,
-                };
-                if better {
-                    astar.open.insert(ent.node, (ng, ent.point));
-                    astar
-                        .heap
-                        .push(Reverse((OrdF64::new(ng), OrdF64::new(ng), ent.node)));
-                }
-            }
+            astar.expand(n, gk.get(), |_, _| Some(0.0));
         }
         let exp_before = astar.expansions();
         let rt_before = astar.retargets();
@@ -1217,6 +1199,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Right after a re-key: the `open` key list holds only live nodes,
+    /// and the heap holds one entry per live frontier node (all of them
+    /// for a single target), each carrying the node's current `g`.
+    fn assert_live_rekey(a: &AStar, single: bool) {
+        assert_eq!(
+            a.open.key_list_len(),
+            a.open.len(),
+            "removed keys survived the re-key"
+        );
+        if single {
+            assert_eq!(a.heap.len(), a.open.len(), "single-target heap");
+        } else {
+            assert!(a.heap.len() <= a.open.len(), "pack heap");
+        }
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for Reverse((_, g, n)) in a.heap.iter() {
+            assert_eq!(
+                a.open.get(*n).map(|&(d, _)| d),
+                Some(g.get()),
+                "heap entry for {n:?} is off the live frontier"
+            );
+            nodes.push(*n);
+        }
+        nodes.sort_unstable_by_key(|n| n.0);
+        nodes.dedup();
+        assert_eq!(nodes.len(), a.heap.len(), "duplicate heap entries");
+    }
+
+    #[test]
+    fn rekeys_walk_only_the_live_frontier() {
+        let mut saw_removed_keys = false;
+        for seed in 0..4u64 {
+            let g = random_net(90, seed + 700);
+            let store = NetworkStore::build(&g);
+            let mid = MiddleLayer::build(&g, &[]);
+            let ctx = NetCtx::new(&g, &store, &mid);
+            let mut rng = StdRng::seed_from_u64(seed + 71);
+            let src = rand_pos(&g, &mut rng);
+            let targets: Vec<NetPosition> = (0..3).map(|_| rand_pos(&g, &mut rng)).collect();
+            let mut dij = Dijkstra::new(&ctx, src);
+            let mut astar = AStar::new(&ctx, src);
+            for round in 0..4 {
+                // Alternate the targets a few steps at a time, so settled
+                // nodes pile up in `open`'s key list between re-keys.
+                for &t in &targets {
+                    saw_removed_keys |= astar.open.key_list_len() > astar.open.len();
+                    astar.set_target(t);
+                    assert_live_rekey(&astar, true);
+                    for _ in 0..3 {
+                        astar.advance();
+                    }
+                }
+                let i = round % targets.len();
+                astar.set_target(targets[i]);
+                assert_live_rekey(&astar, true);
+                let want = dij.distance_to_position(&targets[i]);
+                let got = astar.run();
+                assert!(approx_eq(got, want), "seed {seed}: {got} vs {want}");
+
+                let pack: Vec<NetPosition> = (0..4).map(|_| rand_pos(&g, &mut rng)).collect();
+                let mut ts: Vec<PackTarget> = pack
+                    .iter()
+                    .map(|pos| PackTarget {
+                        lbt: LbTarget::of(&g, pos),
+                        known: f64::INFINITY,
+                        in_epoch: true,
+                        resolved: false,
+                    })
+                    .collect();
+                saw_removed_keys |= astar.open.key_list_len() > astar.open.len();
+                astar.rekey_pack(&mut ts, false);
+                assert_live_rekey(&astar, false);
+                for (j, got) in astar.distances_to_pack(&pack).into_iter().enumerate() {
+                    let want = dij.distance_to_position(&pack[j]);
+                    assert!(
+                        approx_eq(got, want),
+                        "seed {seed} pack[{j}]: {got} vs {want}"
+                    );
+                }
+            }
+        }
+        assert!(saw_removed_keys, "the walk never had removed keys to drop");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! O(|V|) zero-fill, which is what makes the engines' `rebase` methods (and
 //! the parallel batch engine's engine reuse) cheap. A side list of
 //! first-touch keys makes [`NodeMap::iter`] proportional to the number of
-//! touched nodes, not |V|.
+//! touched nodes, not |V|; [`NodeMap::compact`] trims it to the live
+//! entries, for maps that shed most of what they touch (an A\* frontier).
 
 use rn_graph::NodeId;
 
@@ -35,7 +36,8 @@ pub struct NodeMap<T> {
     /// A slot is live iff its stamp equals `gen` and the value is `Some`.
     slots: Vec<(u32, Option<T>)>,
     /// Nodes first touched in the current generation, in touch order.
-    /// May contain nodes whose entry was later removed.
+    /// May contain nodes whose entry was later removed, until the next
+    /// [`NodeMap::compact`].
     keys: Vec<u32>,
     /// Current generation; starts at 1 so fresh slots (stamp 0) are dead.
     gen: u32,
@@ -141,6 +143,32 @@ impl<T> NodeMap<T> {
             debug_assert_eq!(*stamp, self.gen, "key list entry from a past gen");
             v.as_ref().map(|v| (NodeId(i), v))
         })
+    }
+
+    /// Drops removed nodes from the key list, keeping the live ones in
+    /// first-insertion order, so [`NodeMap::iter`] walks exactly
+    /// [`NodeMap::len`] keys until the next removal. A dropped slot's
+    /// stamp is reset, so re-inserting its node counts as a first touch.
+    ///
+    /// Costs one pass over the keys accumulated since the last compaction
+    /// or clear: amortized O(1) per insertion.
+    pub fn compact(&mut self) {
+        let slots = &mut self.slots;
+        self.keys.retain(|&i| {
+            let slot = &mut slots[i as usize];
+            if slot.1.is_none() {
+                // Stamp 0 is never a live generation (`gen` starts at 1).
+                slot.0 = 0;
+            }
+            slot.1.is_some()
+        });
+        debug_assert_eq!(self.keys.len(), self.len);
+    }
+
+    /// Length of the key list, removed entries included.
+    #[cfg(test)]
+    pub(crate) fn key_list_len(&self) -> usize {
+        self.keys.len()
     }
 }
 
@@ -280,6 +308,102 @@ mod tests {
             m.clear();
             assert!(m.is_empty());
             assert_eq!(m.get(a), None, "round {round}: entry survived clear");
+        }
+        assert!(m.gen < 600, "counter wrapped and restarted low");
+    }
+
+    /// The raw key list, removed entries included.
+    fn raw_keys(m: &NodeMap<u32>) -> Vec<NodeId> {
+        m.keys.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    #[test]
+    fn compact_keeps_live_keys_in_insertion_order() {
+        let mut m: NodeMap<u32> = NodeMap::new(8);
+        for n in [6, 2, 7, 0, 4] {
+            m.insert(NodeId(n), n * 10);
+        }
+        m.remove(NodeId(2));
+        m.remove(NodeId(0));
+        assert_eq!(raw_keys(&m).len(), 5, "removal leaves keys behind");
+        m.compact();
+        let want = vec![NodeId(6), NodeId(7), NodeId(4)];
+        assert_eq!(raw_keys(&m), want);
+        let got: Vec<(NodeId, u32)> = m.iter().map(|(n, &v)| (n, v)).collect();
+        assert_eq!(got, vec![(NodeId(6), 60), (NodeId(7), 70), (NodeId(4), 40)]);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get_copied(NodeId(7)), Some(70));
+        assert_eq!(m.get(NodeId(2)), None);
+    }
+
+    #[test]
+    fn compact_then_reinsert_appears_exactly_once() {
+        let mut m: NodeMap<u32> = NodeMap::new(4);
+        m.insert(NodeId(1), 1);
+        m.insert(NodeId(3), 3);
+        m.remove(NodeId(1));
+        m.compact();
+        assert_eq!(m.insert(NodeId(1), 11), None, "dropped slot reads as empty");
+        assert_eq!(m.len(), 2);
+        // Re-inserted after compaction: a first touch again, so it sits at
+        // the end of the key list, once.
+        assert_eq!(raw_keys(&m), vec![NodeId(3), NodeId(1)]);
+        let got: Vec<(NodeId, u32)> = m.iter().map(|(n, &v)| (n, v)).collect();
+        assert_eq!(got, vec![(NodeId(3), 3), (NodeId(1), 11)]);
+        // A second remove/compact/insert round stays deduplicated too.
+        m.remove(NodeId(1));
+        m.compact();
+        m.compact();
+        m.insert(NodeId(1), 21);
+        assert_eq!(raw_keys(&m), vec![NodeId(3), NodeId(1)]);
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn compact_on_empty_or_cleared_map_is_a_no_op() {
+        let mut m: NodeMap<u32> = NodeMap::new(4);
+        m.compact();
+        assert!(m.is_empty());
+        assert_eq!(m.iter().count(), 0);
+        m.insert(NodeId(2), 5);
+        m.insert(NodeId(0), 6);
+        m.clear();
+        m.compact();
+        assert!(m.is_empty());
+        assert!(raw_keys(&m).is_empty());
+        // The previous generation's stamps are untouched and still dead.
+        assert_eq!(m.get(NodeId(2)), None);
+        assert_eq!(m.insert(NodeId(2), 7), None);
+        assert_eq!(raw_keys(&m), vec![NodeId(2)]);
+    }
+
+    #[test]
+    fn compact_cycles_across_the_wrap_stay_consistent() {
+        let mut m: NodeMap<u32> = NodeMap::new(8);
+        // Start close enough to the ceiling that the loop crosses it.
+        m.gen = u32::MAX - 500;
+        for round in 0..1000u32 {
+            let a = NodeId(round % 8);
+            let b = NodeId((round + 3) % 8);
+            let c = NodeId((round + 5) % 8);
+            m.insert(a, round);
+            m.insert(b, round + 1);
+            m.insert(c, round + 2);
+            m.remove(b);
+            m.compact();
+            assert_eq!(raw_keys(&m), vec![a, c], "round {round}");
+            // The dropped node comes back as a fresh first touch.
+            assert_eq!(m.insert(b, round + 3), None, "round {round}");
+            let got: Vec<(NodeId, u32)> = m.iter().map(|(n, &v)| (n, v)).collect();
+            assert_eq!(
+                got,
+                vec![(a, round), (c, round + 2), (b, round + 3)],
+                "round {round}"
+            );
+            assert_eq!(m.len(), 3);
+            m.clear();
+            assert!(m.is_empty());
+            assert_eq!(m.get(b), None, "round {round}: entry survived clear");
         }
         assert!(m.gen < 600, "counter wrapped and restarted low");
     }
