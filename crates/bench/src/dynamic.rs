@@ -35,7 +35,7 @@
 //! from the regression baseline.
 
 use crate::harness::{build_engine, print_header, seed_count, Setting};
-use msq_core::{BoundSpec, DynamicConfig, DynamicEngine, Metric, OracleMaintenance, SkylinePoint};
+use msq_core::{canonical, BoundSpec, DynamicConfig, DynamicEngine, Metric, OracleMaintenance};
 use rn_workload::{generate_queries, ChurnConfig, Preset, UpdateStream};
 use std::time::Instant;
 
@@ -86,16 +86,6 @@ pub struct DynSeries {
     pub churn_pm: u32,
     /// Summed costs.
     pub totals: DynTotals,
-}
-
-/// Canonical bitwise skyline, for the per-batch equivalence assertion.
-fn canon(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
-    let mut v: Vec<(u32, Vec<u64>)> = points
-        .iter()
-        .map(|p| (p.object.0, p.vector.iter().map(|d| d.to_bits()).collect()))
-        .collect();
-    v.sort();
-    v
 }
 
 /// Runs `ROUNDS` churn batches per query seed at `churn_pm` edges per
@@ -156,8 +146,8 @@ pub fn collect(setting: &Setting, churn_pm: u32, seeds: u64) -> DynSeries {
             totals.scratch_wall_ms += t1.elapsed().as_secs_f64() * 1e3;
             totals.scratch_expansions += sd.trace().get(Metric::SpHeapPops);
             assert_eq!(
-                canon(&d.skyline(q)),
-                canon(&sd.skyline(sq)),
+                canonical(&d.skyline(q)),
+                canonical(&sd.skyline(sq)),
                 "{preset} churn {churn_pm}pm seed {seed} round {round}: \
                  maintained skyline diverged from scratch"
             );
@@ -354,7 +344,7 @@ mod tests {
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
         assert!(r.completion.is_complete());
-        assert_eq!(canon(&d.skyline(q)), canon(&r.skyline));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
     }
 
     #[test]

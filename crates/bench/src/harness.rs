@@ -1,6 +1,6 @@
 //! Experiment execution and table formatting.
 
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_workload::{generate_objects, generate_queries, Preset};
 
 /// Number of averaged runs per data point by default. The paper averages
@@ -93,8 +93,8 @@ pub fn run_setting(
         // network; that is 10 % of the *area*, i.e. sqrt(0.1) of each axis.
         let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
         let r = engine.run_cold(algo, &queries);
-        acc.candidate_ratio += r.stats.candidates as f64 / object_count;
-        acc.pages += r.stats.network_pages as f64;
+        acc.candidate_ratio += r.trace.get(Metric::QueryCandidates) as f64 / object_count;
+        acc.pages += r.page_faults() as f64;
         let wall = r.stats.total_time.as_secs_f64() * 1e3;
         let first_wall = r
             .stats
@@ -103,10 +103,10 @@ pub fn run_setting(
             .unwrap_or(0.0);
         acc.total_ms += wall;
         acc.initial_ms += first_wall;
-        acc.response_ms += wall + r.stats.network_pages as f64 * io;
+        acc.response_ms += wall + r.page_faults() as f64 * io;
         acc.initial_response_ms += first_wall + r.stats.initial_pages.unwrap_or(0) as f64 * io;
         acc.skyline += r.skyline.len() as f64;
-        acc.expanded += r.stats.nodes_expanded as f64;
+        acc.expanded += r.trace.get(Metric::SpHeapPops) as f64;
     }
     let k = seeds as f64;
     AvgMetrics {

@@ -22,7 +22,7 @@
 //! and is excluded from the regression baseline.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{Algorithm, BoundSpec, Metric, SkylineEngine, SkylineResult};
+use msq_core::{canonical, Algorithm, BoundSpec, Metric, SkylineEngine, SkylineResult};
 use rn_workload::{generate_queries, Preset};
 
 /// The algorithms whose pruning the oracles tighten. CE never consults
@@ -60,7 +60,7 @@ pub struct OracleTotals {
 
 impl OracleTotals {
     fn add(&mut self, r: &SkylineResult, io: f64) {
-        self.expansions += r.stats.nodes_expanded;
+        self.expansions += r.trace.get(Metric::SpHeapPops);
         self.retargets += r.trace.get(Metric::SpAstarRetargets);
         self.window_candidates += r.trace.get(Metric::EdcWindowCandidates);
         self.plb_discards += r.trace.get(Metric::LbcPlbDiscards);
@@ -71,7 +71,7 @@ impl OracleTotals {
         self.skyline += r.skyline.len() as u64;
         let wall = r.stats.total_time.as_secs_f64() * 1e3;
         self.wall_ms += wall;
-        self.response_ms += wall + r.stats.network_pages as f64 * io;
+        self.response_ms += wall + r.page_faults() as f64 * io;
     }
 }
 
@@ -127,25 +127,6 @@ fn specs_for(preset: Preset) -> [(&'static str, BoundSpec); 3] {
     ]
 }
 
-/// A canonical skyline: `(object, distance bits)` pairs sorted by
-/// object id — the representation the cross-bound equality check uses.
-type CanonSkyline = Vec<(u64, Vec<u64>)>;
-
-fn canon(r: &SkylineResult) -> CanonSkyline {
-    let mut v: CanonSkyline = r
-        .skyline
-        .iter()
-        .map(|p| {
-            (
-                p.object.0 as u64,
-                p.vector.iter().map(|d| d.to_bits()).collect(),
-            )
-        })
-        .collect();
-    v.sort();
-    v
-}
-
 /// Runs EDC and LBC cold over `seeds` query seeds under every bound
 /// kind of `setting.preset`, verifying the skylines bitwise identical
 /// to the Euclidean baseline along the way.
@@ -160,7 +141,7 @@ pub fn collect(setting: &Setting, seeds: u64) -> (Vec<OracleSeries>, Vec<OracleB
     let mut series = Vec::new();
     let mut builds = Vec::new();
     // Euclidean-baseline canonical skylines, per (algo index, seed).
-    let mut baseline: Vec<Vec<CanonSkyline>> = Vec::new();
+    let mut baseline: Vec<Vec<_>> = Vec::new();
 
     for (bi, (label, spec)) in specs_for(setting.preset).into_iter().enumerate() {
         let stats = engine.set_bound(spec);
@@ -175,7 +156,7 @@ pub fn collect(setting: &Setting, seeds: u64) -> (Vec<OracleSeries>, Vec<OracleB
             for seed in 0..seeds {
                 let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
                 let r = engine.run_cold(algo, &queries);
-                let c = canon(&r);
+                let c = canonical(&r.skyline);
                 if bi == 0 {
                     if baseline.len() <= ai {
                         baseline.push(Vec::new());

@@ -24,7 +24,7 @@
 //! BENCH_4.json are bit-reproducible for a given `MSQ_SEEDS`.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{Algorithm, Metric, SkylineResult, SweepMode};
+use msq_core::{canonical, Algorithm, Exec, Metric, QueryPlan, SkylineResult, SweepMode};
 use rn_workload::{generate_queries, Preset};
 
 /// The algorithms whose distance resolution goes through batches. CE
@@ -63,7 +63,7 @@ pub struct ModeTotals {
 
 impl ModeTotals {
     fn add(&mut self, r: &SkylineResult, io: f64) {
-        self.expansions += r.stats.nodes_expanded;
+        self.expansions += r.trace.get(Metric::SpHeapPops);
         self.retargets += r.trace.get(Metric::SpAstarRetargets);
         self.pack_sweeps += r.trace.get(Metric::SpAstarPackSweeps);
         self.pack_targets += r.trace.get(Metric::SpAstarPackTargets);
@@ -73,7 +73,7 @@ impl ModeTotals {
         self.skyline += r.skyline.len() as u64;
         let wall = r.stats.total_time.as_secs_f64() * 1e3;
         self.wall_ms += wall;
-        self.response_ms += wall + r.stats.network_pages as f64 * io;
+        self.response_ms += wall + r.page_faults() as f64 * io;
     }
 }
 
@@ -98,23 +98,6 @@ pub fn reduction_pct(single: u64, batched: u64) -> f64 {
     }
 }
 
-/// The canonical skyline of a run: `(object, distance bits)` sorted by
-/// object id — the representation the cross-mode equality check uses.
-fn canon(r: &SkylineResult) -> Vec<(u64, Vec<u64>)> {
-    let mut v: Vec<(u64, Vec<u64>)> = r
-        .skyline
-        .iter()
-        .map(|p| {
-            (
-                p.object.0 as u64,
-                p.vector.iter().map(|d| d.to_bits()).collect(),
-            )
-        })
-        .collect();
-    v.sort();
-    v
-}
-
 /// Runs every batching algorithm cold over `seeds` query seeds in both
 /// sweep modes and returns the totals, verifying the skylines bitwise
 /// identical across modes along the way.
@@ -132,11 +115,15 @@ pub fn collect(setting: &Setting, seeds: u64) -> Vec<SweepSeries> {
             let mut batched = ModeTotals::default();
             for seed in 0..seeds {
                 let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
-                let s = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
-                let b = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+                let s = engine.run_plan(&QueryPlan {
+                    exec: Exec::Cold,
+                    sweep: SweepMode::SingleTarget,
+                    ..QueryPlan::new(algo, &queries)
+                });
+                let b = engine.run_cold(algo, &queries); // batched: the default
                 assert_eq!(
-                    canon(&s),
-                    canon(&b),
+                    canonical(&s.skyline),
+                    canonical(&b.skyline),
                     "{} seed {seed}: batched skyline diverged from single-target",
                     algo.name()
                 );

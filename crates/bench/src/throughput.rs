@@ -71,7 +71,7 @@ pub fn sweep(
     let costs: Vec<f64> = base
         .results
         .iter()
-        .map(|r| r.stats.total_time.as_secs_f64() * 1e3 + r.stats.network_pages as f64 * io)
+        .map(|r| r.stats.total_time.as_secs_f64() * 1e3 + r.page_faults() as f64 * io)
         .collect();
     let total: f64 = costs.iter().sum();
 

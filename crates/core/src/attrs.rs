@@ -7,10 +7,11 @@
 //! which have pre-computed 'network distances' to all data objects."
 //!
 //! An [`AttrTable`] holds `k` static minimisation attributes per object
-//! (price, rating-as-cost, ...). When supplied to
-//! [`crate::SkylineEngine::run_with_attrs`], every object's skyline vector
-//! becomes `(d_N(q_1, p), ..., d_N(q_n, p), a_1(p), ..., a_k(p))` and all
-//! three algorithms adjudicate dominance over the full `n + k` dimensions:
+//! (price, rating-as-cost, ...). When a [`crate::QueryPlan`] carries one
+//! in its `attrs` field, every object's skyline vector becomes
+//! `(d_N(q_1, p), ..., d_N(q_n, p), a_1(p), ..., a_k(p))` and all three
+//! algorithms adjudicate dominance over the full `n + k` dimensions, under
+//! every [`crate::Exec`] mode:
 //!
 //! * the static dimensions are *exact from birth* — LBC's lower-bound
 //!   machinery treats them as already-resolved coordinates, so a candidate

@@ -10,11 +10,11 @@
 //! faults — is bitwise identical to the sequential run at every worker
 //! count; only the wall clock changes.
 
-use crate::engine::{Algorithm, SkylineEngine, SkylineResult};
+use crate::engine::{Algorithm, Exec, QueryPlan, SkylineEngine, SkylineResult};
 use crate::stats::Stopwatch;
 use rn_graph::NetPosition;
 use rn_obs::{Event, Metric, QueryBudget, QueryTrace};
-use rn_storage::{IoSnapshot, PoolConfig};
+use rn_storage::{IoSnapshot, NetworkStore, PoolConfig};
 use std::time::Duration;
 
 /// Executes batches of independent queries concurrently over one shared
@@ -32,7 +32,7 @@ pub struct BatchOutcome {
     /// Index node reads (object R-tree + middle layer) across the whole
     /// batch. The index counters are shared atomics, so under concurrency
     /// they are meaningful only in aggregate; each per-query
-    /// `stats.index_reads` inside [`BatchOutcome::results`] is zero.
+    /// `index.node_reads` counter inside [`BatchOutcome::results`] is zero.
     pub index_reads: u64,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
@@ -76,7 +76,7 @@ impl<'e> BatchEngine<'e> {
     /// # Panics
     /// Panics when any query set in the batch is empty.
     pub fn run(&self, algo: Algorithm, batch: &[Vec<NetPosition>]) -> BatchOutcome {
-        self.run_with_budget(algo, batch, &QueryBudget::unlimited())
+        self.execute(algo, batch, &QueryBudget::unlimited(), None)
     }
 
     /// [`BatchEngine::run`] under a per-query [`QueryBudget`].
@@ -95,33 +95,7 @@ impl<'e> BatchEngine<'e> {
         batch: &[Vec<NetPosition>],
         budget: &QueryBudget,
     ) -> BatchOutcome {
-        self.engine.object_tree().reset_node_reads();
-        self.engine.mid_ref().reset_node_reads();
-        let started = Stopwatch::start();
-        let results = rn_par::par_map_indexed(batch.len(), self.workers, |i| {
-            let session = self.engine.store_ref().session();
-            self.engine
-                .run_with_store_budget(&session, algo, &batch[i], None, budget)
-        });
-        let index_reads =
-            self.engine.object_tree().node_reads() + self.engine.mid_ref().node_reads();
-        // Merge order is the batch index, never worker arrival order:
-        // `par_map_indexed` returns results in input order, so the merged
-        // trace is deterministic at any worker count.
-        let mut trace = QueryTrace::new();
-        for r in &results {
-            trace.merge(&r.trace);
-        }
-        trace.add(Metric::IndexNodeReads, index_reads);
-        trace.event(Event::IndexReads { count: index_reads });
-        let io = io_from_trace(&trace);
-        BatchOutcome {
-            results,
-            index_reads,
-            wall: started.elapsed(),
-            trace,
-            io,
-        }
+        self.execute(algo, batch, budget, None)
     }
 
     /// Runs the batch with every worker reading through **one shared
@@ -136,7 +110,7 @@ impl<'e> BatchEngine<'e> {
     /// pages are immutable, so *what* a query reads never depends on who
     /// faulted the page in. Use [`BatchOutcome::io`] (the shared pool's
     /// aggregate counter delta, exact at every worker count) rather than
-    /// per-query I/O stats, which are interleaving-dependent here.
+    /// per-query I/O counters, which are interleaving-dependent here.
     ///
     /// # Panics
     /// Panics when any query set in the batch is empty.
@@ -146,30 +120,50 @@ impl<'e> BatchEngine<'e> {
         batch: &[Vec<NetPosition>],
         pool: PoolConfig,
     ) -> BatchOutcome {
+        let base = self.engine.store_ref().session_with_config(pool);
+        self.execute(algo, batch, &QueryBudget::unlimited(), Some(&base))
+    }
+
+    /// The one batch body: every query runs as an [`Exec::Session`] plan
+    /// over a fresh private session, or over a handle on `shared` when
+    /// given.
+    fn execute(
+        &self,
+        algo: Algorithm,
+        batch: &[Vec<NetPosition>],
+        budget: &QueryBudget,
+        shared: Option<&NetworkStore>,
+    ) -> BatchOutcome {
         self.engine.object_tree().reset_node_reads();
         self.engine.mid_ref().reset_node_reads();
-        let base = self.engine.store_ref().session_with_config(pool);
         let started = Stopwatch::start();
         let results = rn_par::par_map_indexed(batch.len(), self.workers, |i| {
-            let session = base.shared_session();
-            self.engine.run_with_store_budget(
-                &session,
-                algo,
-                &batch[i],
-                None,
-                &QueryBudget::unlimited(),
-            )
+            let session = match shared {
+                Some(base) => base.shared_session(),
+                None => self.engine.store_ref().session(),
+            };
+            self.engine.run_plan(&QueryPlan {
+                exec: Exec::Session(&session),
+                budget: budget.clone(),
+                ..QueryPlan::new(algo, &batch[i])
+            })
         });
         let wall = started.elapsed();
-        let io = base.stats().snapshot();
         let index_reads =
             self.engine.object_tree().node_reads() + self.engine.mid_ref().node_reads();
+        // Merge order is the batch index, never worker arrival order:
+        // `par_map_indexed` returns results in input order, so the merged
+        // trace is deterministic at any worker count.
         let mut trace = QueryTrace::new();
         for r in &results {
             trace.merge(&r.trace);
         }
         trace.add(Metric::IndexNodeReads, index_reads);
         trace.event(Event::IndexReads { count: index_reads });
+        let io = match shared {
+            Some(base) => base.stats().snapshot(),
+            None => io_from_trace(&trace),
+        };
         BatchOutcome {
             results,
             index_reads,

@@ -657,7 +657,8 @@ mod tests {
             NetPosition::new(EdgeId(0), 55.0),
         ];
         let r = e.run(Algorithm::Ce, &qs);
-        assert!(r.stats.candidates >= r.skyline.len());
-        assert!(r.stats.candidates <= 9);
+        let candidates = r.trace.get(rn_obs::Metric::QueryCandidates);
+        assert!(candidates >= r.skyline.len() as u64);
+        assert!(candidates <= 9);
     }
 }

@@ -673,6 +673,7 @@ fn classify(net: &RoadNetwork, batch: &UpdateBatch) -> Vec<WeightDelta> {
 mod tests {
     use super::*;
     use crate::engine::Algorithm;
+    use crate::stats::canonical;
     use rn_geom::Point;
     use rn_graph::NetworkBuilder;
 
@@ -690,15 +691,6 @@ mod tests {
         SkylineEngine::build(net, objects)
     }
 
-    fn canon(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
-        let mut v: Vec<(u32, Vec<u64>)> = points
-            .iter()
-            .map(|p| (p.object.0, p.vector.iter().map(|d| d.to_bits()).collect()))
-            .collect();
-        v.sort();
-        v
-    }
-
     #[test]
     fn registered_query_matches_brute_before_any_update() {
         let dynamic = {
@@ -713,7 +705,10 @@ mod tests {
         };
         let scratch = dynamic.scratch_engine();
         let r = scratch.run(Algorithm::Brute, dynamic.query_points(QueryId(0)));
-        assert_eq!(canon(&dynamic.skyline(QueryId(0))), canon(&r.skyline));
+        assert_eq!(
+            canonical(&dynamic.skyline(QueryId(0))),
+            canonical(&r.skyline)
+        );
     }
 
     #[test]
@@ -730,7 +725,7 @@ mod tests {
         assert_eq!(out.updates, 1);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
-        assert_eq!(canon(&d.skyline(q)), canon(&r.skyline));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
     }
 
     #[test]
@@ -751,7 +746,7 @@ mod tests {
         assert_eq!(d.live_objects().len(), before);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
-        assert_eq!(canon(&d.skyline(q)), canon(&r.skyline));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
     }
 
     #[test]
@@ -795,7 +790,7 @@ mod tests {
         assert_eq!(out.expansions, 0);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
-        assert_eq!(canon(&d.skyline(q)), canon(&r.skyline));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
     }
 
     #[test]
@@ -817,6 +812,6 @@ mod tests {
         assert_eq!(out.full + out.incremental, 1);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
-        assert_eq!(canon(&d.skyline(q)), canon(&r.skyline));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
     }
 }

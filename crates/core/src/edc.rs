@@ -531,11 +531,11 @@ mod tests {
         // Batch: every page fault precedes the first report.
         assert_eq!(
             batch.stats.initial_pages.unwrap(),
-            batch.stats.network_pages,
+            batch.page_faults(),
             "batch EDC must not report before step 5"
         );
         // Incremental: reporting may start before the work is done.
-        assert!(incr.stats.initial_pages.unwrap() <= incr.stats.network_pages);
+        assert!(incr.stats.initial_pages.unwrap() <= incr.page_faults());
     }
 
     #[test]

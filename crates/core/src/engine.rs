@@ -1,16 +1,17 @@
 //! The query engine: owns the substrates, dispatches the algorithms, and
 //! collects the statistics the evaluation harness reports.
 
+use crate::attrs::AttrTable;
 use crate::stats::{QueryStats, Reporter, SkylinePoint, Stopwatch};
 use rn_geom::Mbr;
 use rn_graph::{NetPosition, ObjectId, RoadNetwork};
 use rn_index::{MiddleLayer, RTree};
 use rn_obs::{Event, ExecGuard, IncompleteReason, Metric, QueryBudget, QueryTrace};
 use rn_sp::{
-    AltOracle, BlockOracle, BoundKind, BoundSpec, EuclidBound, LbCounters, LowerBound, NetCtx,
+    AltOracle, BlockOracle, BoundSpec, EuclidBound, LbCounters, LowerBound, NetCtx,
     OracleBuildStats, QueryPoint,
 };
-use rn_storage::{FaultPlan, IoSnapshot, NetworkStore, PoolConfig};
+use rn_storage::{FaultPlan, IoSnapshot, IoStats, NetworkStore, PoolConfig};
 
 /// Which of the paper's algorithms to execute.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,9 +67,87 @@ pub enum SweepMode {
     SingleTarget,
 }
 
+/// Where a query's pages come from and how it is driven (DESIGN.md §18).
+#[derive(Clone, Copy)]
+pub enum Exec<'s> {
+    /// Sequential, against the engine's buffer pool as the previous query
+    /// left it.
+    Warm,
+    /// Sequential, against the engine's buffer pool emptied first — the
+    /// cold-cache configuration of the paper's averaged runs (§6).
+    Cold,
+    /// Sequential, against a caller-supplied store — a batch worker's
+    /// private or shared session ([`NetworkStore::session`],
+    /// [`NetworkStore::shared_session`]). The shared index and oracle
+    /// counters cannot be attributed to one query while others run, so the
+    /// trace reports `index.node_reads` and the `sp.lb.*` hits as zero;
+    /// [`crate::BatchOutcome`] carries the batch aggregate.
+    Session(&'s NetworkStore),
+    /// Intra-query parallelism across this many threads (DESIGN.md §9):
+    /// CE's wavefronts advance in lockstep rounds, EDC fans each vector
+    /// across its dimensions and LBC fans its full resolutions. Every
+    /// worker reads through a private cold session and all faults feed one
+    /// fresh query-wide [`IoStats`], so skyline, trace and budget trips
+    /// are identical at every worker count. [`Algorithm::Brute`] has no
+    /// parallel form and runs on one private session.
+    Parallel(usize),
+}
+
+/// One multi-source skyline query: the algorithm, the query points and
+/// every option the paper attaches to them. [`QueryPlan::new`] gives the
+/// defaults; override fields with struct-update syntax:
+///
+/// ```
+/// # use msq_core::{Algorithm, Exec, QueryPlan, SourceStrategy};
+/// # let queries = [rn_graph::NetPosition::new(rn_graph::EdgeId(0), 1.0)];
+/// let plan = QueryPlan {
+///     exec: Exec::Cold,
+///     source: SourceStrategy::Centroid,
+///     ..QueryPlan::new(Algorithm::Lbc, &queries)
+/// };
+/// # assert_eq!(plan.queries.len(), 1);
+/// ```
+#[derive(Clone)]
+pub struct QueryPlan<'a> {
+    /// The algorithm to run.
+    pub algo: Algorithm,
+    /// The query points, in the order result vectors report them.
+    pub queries: &'a [NetPosition],
+    /// Where pages come from and how the query is driven.
+    pub exec: Exec<'a>,
+    /// Limits after which the run returns a certified prefix with
+    /// [`Completion::Partial`] (DESIGN.md §12). [`Algorithm::Brute`] is
+    /// the testing oracle and always runs to completion.
+    pub budget: QueryBudget,
+    /// Static non-spatial dimensions appended to every vector (§4.3's
+    /// extension); the table must cover every object.
+    pub attrs: Option<&'a AttrTable>,
+    /// Batched pack sweeps or single-target distance resolution.
+    pub sweep: SweepMode,
+    /// Which query point the run treats as its source (§4.3). Vectors
+    /// still come back in the order of [`QueryPlan::queries`].
+    pub source: SourceStrategy,
+}
+
+impl<'a> QueryPlan<'a> {
+    /// A warm, unlimited, attribute-free plan with batched sweeps and the
+    /// first query point as source.
+    pub fn new(algo: Algorithm, queries: &'a [NetPosition]) -> Self {
+        QueryPlan {
+            algo,
+            queries,
+            exec: Exec::Warm,
+            budget: QueryBudget::unlimited(),
+            attrs: None,
+            sweep: SweepMode::default(),
+            source: SourceStrategy::First,
+        }
+    }
+}
+
 /// Borrowed view of one query execution: substrates plus resolved query
-/// points. Constructed by [`SkylineEngine::run`]; algorithm modules consume
-/// it.
+/// points. Constructed by [`SkylineEngine::run_plan`]; algorithm modules
+/// consume it.
 pub struct QueryInput<'a> {
     /// Network metadata + counted storage + middle layer.
     pub ctx: NetCtx<'a>,
@@ -77,7 +156,7 @@ pub struct QueryInput<'a> {
     /// The query points with resolved coordinates.
     pub queries: Vec<QueryPoint>,
     /// Optional static attribute dimensions (§4.3's extension).
-    pub attrs: Option<&'a crate::attrs::AttrTable>,
+    pub attrs: Option<&'a AttrTable>,
     /// Batched pack sweeps (default) or single-target distance resolution.
     pub sweep: SweepMode,
 }
@@ -181,7 +260,7 @@ impl Completion {
 pub struct SkylineResult {
     /// Confirmed skyline points, in the order the algorithm reported them.
     pub skyline: Vec<SkylinePoint>,
-    /// Measured statistics.
+    /// Wall-clock measurements; every work count lives in `trace`.
     pub stats: QueryStats,
     /// The query's observability trace: phase-attributed counters over
     /// the [`rn_obs::Metric`] registry plus (under the `trace` feature)
@@ -209,6 +288,13 @@ impl SkylineResult {
             .find(|p| p.object == object)
             .map(|p| p.vector.as_slice())
     }
+
+    /// Network pages faulted, cold plus warm — the paper's "disk pages
+    /// accessed" (§6).
+    pub fn page_faults(&self) -> u64 {
+        self.trace.get(Metric::StoragePageFaultsCold)
+            + self.trace.get(Metric::StoragePageFaultsWarm)
+    }
 }
 
 /// Owns a queryable dataset: the road network (disk-resident through a
@@ -233,16 +319,6 @@ impl SkylineEngine {
     /// Builds an engine with the paper's default 1 MB LRU buffer.
     pub fn build(net: RoadNetwork, objects: Vec<NetPosition>) -> Self {
         Self::with_pool_config(net, objects, PoolConfig::default())
-    }
-
-    /// Builds an engine with an explicit network buffer size (one
-    /// shard, no readahead — the paper's shape).
-    pub fn with_buffer_bytes(
-        net: RoadNetwork,
-        objects: Vec<NetPosition>,
-        buffer_bytes: usize,
-    ) -> Self {
-        Self::with_pool_config(net, objects, PoolConfig::with_bytes(buffer_bytes))
     }
 
     /// Builds an engine with an explicit buffer-pool shape (size, shard
@@ -330,11 +406,6 @@ impl SkylineEngine {
         }
     }
 
-    /// Which lower bound queries currently run under.
-    pub fn bound_kind(&self) -> BoundKind {
-        self.bound.kind()
-    }
-
     /// The spec the active bound was built from.
     pub fn bound_spec(&self) -> BoundSpec {
         self.bound_spec
@@ -411,403 +482,137 @@ impl SkylineEngine {
         self.store.clear_buffer();
     }
 
-    /// Runs `algo` for the query points at `queries` and returns the
-    /// skyline with per-query statistics.
+    /// Runs `algo` for the query points at `queries` against the warm
+    /// buffer pool: [`SkylineEngine::run_plan`] with the default plan.
     ///
     /// # Panics
     /// Panics when `queries` is empty.
     pub fn run(&self, algo: Algorithm, queries: &[NetPosition]) -> SkylineResult {
-        self.run_inner(
-            algo,
-            queries,
-            None,
-            SweepMode::default(),
-            &QueryBudget::unlimited(),
-        )
-    }
-
-    /// [`SkylineEngine::run`] under a [`QueryBudget`]: the run stops at
-    /// the first tripped limit and returns the certified-so-far skyline
-    /// with [`Completion::Partial`] carrying the unresolved candidates
-    /// (DESIGN.md §12).
-    ///
-    /// [`Algorithm::Brute`] is the testing oracle and is exempt: it
-    /// always runs to completion.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_budget(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        self.run_inner(algo, queries, None, SweepMode::default(), budget)
-    }
-
-    /// [`SkylineEngine::run`] with an explicit [`SweepMode`] — the ablation
-    /// hook the `sweep` benchmark uses to compare batched pack sweeps
-    /// against single-target resolution on identical workloads.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.run_inner(algo, queries, None, sweep, &QueryBudget::unlimited())
-    }
-
-    /// [`SkylineEngine::run_with_mode`] preceded by a buffer flush.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_cold_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.clear_buffer();
-        self.run_inner(algo, queries, None, sweep, &QueryBudget::unlimited())
-    }
-
-    /// Runs `algo` with additional static attribute dimensions (§4.3's
-    /// non-spatial extension): each object's vector becomes its network
-    /// distances followed by its attribute values, and dominance is
-    /// adjudicated over all of them.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty or `attrs` does not cover every
-    /// object.
-    pub fn run_with_attrs(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: &crate::attrs::AttrTable,
-    ) -> SkylineResult {
-        assert_eq!(
-            attrs.len(),
-            self.object_count(),
-            "attribute table must cover every object"
-        );
-        self.run_inner(
-            algo,
-            queries,
-            Some(attrs),
-            SweepMode::default(),
-            &QueryBudget::unlimited(),
-        )
-    }
-
-    fn run_inner(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-        sweep: SweepMode,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let guard = guard_for(algo, budget, self.store.stats().faults());
-        let input = QueryInput {
-            ctx: NetCtx::with_guard(&self.net, &self.store, &self.mid, guard.as_ref())
-                .with_bound(self.bound.as_ref()),
-            obj_tree: &self.obj_tree,
-            queries: queries
-                .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
-                .collect(),
-            attrs,
-            sweep,
-        };
-
-        let io_before = self.store.stats().snapshot();
-        self.obj_tree.reset_node_reads();
-        self.mid.reset_node_reads();
-
-        let started = Stopwatch::start();
-        let lb_before = self.bound.counters();
-        let mut reporter = Reporter::with_io(self.store.stats().clone());
-        reporter.obs().event(Event::QueryStart {
-            algo: algo.name(),
-            arity: input.arity() as u64,
-        });
-        let mut out = dispatch(algo, &input, &mut reporter);
-        let total_time = started.elapsed();
-        let io = self.store.stats().snapshot().since(&io_before);
-
-        let initial_time = reporter.time_to_first();
-        let initial_pages = reporter.pages_to_first();
-        let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        let index_reads = self.obj_tree.node_reads() + self.mid.node_reads();
-        finish_trace(&mut trace, &out, &io, index_reads, skyline.len());
-        harvest_bound(&mut trace, self.bound.as_ref(), &lb_before);
-        let completion = match out.partial.take() {
-            Some(p) => Completion::Partial(p),
-            None => Completion::Complete,
-        };
-        SkylineResult {
-            skyline,
-            stats: QueryStats {
-                candidates: out.candidates,
-                network_pages: io.faults,
-                network_logical: io.logical,
-                total_time,
-                initial_time,
-                initial_pages,
-                nodes_expanded: out.nodes_expanded,
-                index_reads,
-            },
-            trace,
-            completion,
-        }
+        self.run_plan(&QueryPlan::new(algo, queries))
     }
 
     /// [`SkylineEngine::run`] preceded by a buffer flush — the cold-cache
     /// configuration used by the experiment harness.
+    ///
+    /// # Panics
+    /// Panics when `queries` is empty.
     pub fn run_cold(&self, algo: Algorithm, queries: &[NetPosition]) -> SkylineResult {
-        self.clear_buffer();
-        self.run(algo, queries)
+        self.run_plan(&QueryPlan {
+            exec: Exec::Cold,
+            ..QueryPlan::new(algo, queries)
+        })
     }
 
-    /// Runs `algo` sequentially against a caller-supplied store — normally
-    /// a private session from [`rn_storage::NetworkStore::session`], which
-    /// is how [`crate::BatchEngine`] executes many queries concurrently
-    /// without sharing a buffer pool.
+    /// Runs one query plan. This is the engine's only execution path:
+    /// every combination of algorithm, [`Exec`] mode, budget, attributes,
+    /// sweep mode and source strategy is assembled, guarded, metered and
+    /// turned into a result here (DESIGN.md §18).
     ///
-    /// The shared index counters (object R-tree, middle layer) cannot be
-    /// attributed to one query while others run, so `stats.index_reads`
-    /// is reported as zero here; batch callers read the aggregate from
-    /// [`crate::BatchOutcome::index_reads`].
+    /// The skyline is independent of the source strategy and the exec
+    /// mode. Vectors, and the lower bounds of unresolved candidates, come
+    /// back in the order of `plan.queries`, with attribute dimensions
+    /// after the spatial ones.
     ///
     /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_store(
-        &self,
-        store: &NetworkStore,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-    ) -> SkylineResult {
-        self.run_with_store_budget(store, algo, queries, attrs, &QueryBudget::unlimited())
-    }
+    /// Panics when `plan.queries` is empty, when `plan.attrs` does not
+    /// cover every object, or when a [`SourceStrategy::Index`] is out of
+    /// range.
+    pub fn run_plan(&self, plan: &QueryPlan<'_>) -> SkylineResult {
+        let algo = plan.algo;
+        assert!(!plan.queries.is_empty(), "need at least one query point");
+        if let Some(a) = plan.attrs {
+            assert_eq!(
+                a.len(),
+                self.object_count(),
+                "attribute table must cover every object"
+            );
+        }
+        // The source runs in slot 0. The swap is its own inverse, so the
+        // same swap puts the result vectors back in caller order.
+        let src = plan.source.pick(self, plan.queries);
+        let mut queries: Vec<QueryPoint> = plan
+            .queries
+            .iter()
+            .map(|pos| QueryPoint::on_network(&self.net, *pos))
+            .collect();
+        queries.swap(0, src);
 
-    /// [`SkylineEngine::run_with_store`] under a [`QueryBudget`]. Each
-    /// call gets its own [`rn_obs::ExecGuard`], so a batch running many
-    /// queries against private sessions enforces the budget per query —
-    /// which keeps budget trips deterministic at every batch worker
-    /// count.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_store_budget(
-        &self,
-        store: &NetworkStore,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let guard = guard_for(algo, budget, store.stats().faults());
+        if let Exec::Cold = plan.exec {
+            self.clear_buffer();
+        }
+        let brute_session;
+        let (store, io) = match plan.exec {
+            Exec::Warm | Exec::Cold => (&self.store, self.store.stats().clone()),
+            Exec::Session(s) => (s, s.stats().clone()),
+            Exec::Parallel(_) if algo == Algorithm::Brute => {
+                brute_session = self.store.session_with_stats(IoStats::new());
+                (&brute_session, brute_session.stats().clone())
+            }
+            // Each parallel worker derives its own session from the engine
+            // store; all of them meter this one query-wide IoStats.
+            Exec::Parallel(_) => (&self.store, IoStats::new()),
+        };
+        let guard = guard_for(algo, &plan.budget, io.faults());
         let input = QueryInput {
-            // The lower bound rides along (skylines are bound-invariant);
-            // its shared hit counters cannot be attributed to one query
-            // while others run, so — like `index_reads` — the per-query
-            // trace reports them as zero here.
             ctx: NetCtx::with_guard(&self.net, store, &self.mid, guard.as_ref())
                 .with_bound(self.bound.as_ref()),
             obj_tree: &self.obj_tree,
-            queries: queries
-                .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
-                .collect(),
-            attrs,
-            sweep: SweepMode::default(),
+            queries,
+            attrs: plan.attrs,
+            sweep: plan.sweep,
         };
-        let io_before = store.stats().snapshot();
-        let started = Stopwatch::start();
-        let mut reporter = Reporter::with_io(store.stats().clone());
-        reporter.obs().event(Event::QueryStart {
-            algo: algo.name(),
-            arity: input.arity() as u64,
-        });
-        let mut out = dispatch(algo, &input, &mut reporter);
-        let total_time = started.elapsed();
-        let io = store.stats().snapshot().since(&io_before);
-        let initial_time = reporter.time_to_first();
-        let initial_pages = reporter.pages_to_first();
-        let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        finish_trace(&mut trace, &out, &io, 0, skyline.len());
-        let completion = match out.partial.take() {
-            Some(p) => Completion::Partial(p),
-            None => Completion::Complete,
-        };
-        SkylineResult {
-            skyline,
-            stats: QueryStats {
-                candidates: out.candidates,
-                network_pages: io.faults,
-                network_logical: io.logical,
-                total_time,
-                initial_time,
-                initial_pages,
-                nodes_expanded: out.nodes_expanded,
-                index_reads: 0,
-            },
-            trace,
-            completion,
+
+        // The shared index and oracle counters are attributed to this
+        // query unless concurrent batch queries move them too.
+        let attributed = !matches!(plan.exec, Exec::Session(_));
+        if attributed {
+            self.obj_tree.reset_node_reads();
+            self.mid.reset_node_reads();
         }
-    }
-
-    /// Runs one query with **intra-query parallelism** across `workers`
-    /// threads: CE's wavefronts advance concurrently in lockstep rounds,
-    /// EDC fans each network-vector computation across its dimensions, and
-    /// LBC fans the full-resolution confirmations (see DESIGN.md §9).
-    ///
-    /// Every worker reads network pages through a private cold session of
-    /// the engine's buffer capacity (the engine's own buffer is untouched,
-    /// like [`SkylineEngine::run_cold`]), and all fault counters feed one
-    /// query-wide [`rn_storage::IoStats`]. The skyline and the fault count
-    /// are identical at every worker count; they differ from the
-    /// sequential single-store run only in that each wavefront/dimension
-    /// pays its own cold faults.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-    ) -> SkylineResult {
-        self.run_parallel_with_mode(algo, queries, workers, SweepMode::default())
-    }
-
-    /// [`SkylineEngine::run_parallel`] under a [`QueryBudget`]. The
-    /// guard is checked **coordinator-side only** — at CE's round
-    /// barriers, EDC's merged vector batches and LBC's frontier loop —
-    /// against deterministically-merged totals, so cap-based trips (and
-    /// the resulting partial skyline and trace) are bitwise identical at
-    /// every worker count. Deadline and cancellation trips are sound but
-    /// inherently timing-dependent (DESIGN.md §12).
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel_with_budget(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        self.run_parallel_inner(algo, queries, workers, SweepMode::default(), budget)
-    }
-
-    /// [`SkylineEngine::run_parallel`] with an explicit [`SweepMode`] —
-    /// same ablation hook as [`SkylineEngine::run_with_mode`], applied to
-    /// the intra-query parallel drivers.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.run_parallel_inner(algo, queries, workers, sweep, &QueryBudget::unlimited())
-    }
-
-    fn run_parallel_inner(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        sweep: SweepMode,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        // The parallel drivers meter a fresh query-wide IoStats, so the
-        // guard's fault baseline is zero by construction.
-        let guard = guard_for(algo, budget, 0);
-        let input = QueryInput {
-            ctx: NetCtx::with_guard(&self.net, &self.store, &self.mid, guard.as_ref())
-                .with_bound(self.bound.as_ref()),
-            obj_tree: &self.obj_tree,
-            queries: queries
-                .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
-                .collect(),
-            attrs: None,
-            sweep,
-        };
-        let io = rn_storage::IoStats::new();
-        self.obj_tree.reset_node_reads();
-        self.mid.reset_node_reads();
-        let lb_before = self.bound.counters();
+        let lb_before = attributed.then(|| self.bound.counters());
+        let io_before = io.snapshot();
         let started = Stopwatch::start();
         let mut reporter = Reporter::with_io(io.clone());
         reporter.obs().event(Event::QueryStart {
             algo: algo.name(),
             arity: input.arity() as u64,
         });
-        let mut out = match algo {
-            Algorithm::Ce => crate::par::run_ce(&input, &mut reporter, workers, &io),
-            Algorithm::Edc => crate::par::run_edc(&input, &mut reporter, false, workers, &io),
-            Algorithm::EdcBatch => crate::par::run_edc(&input, &mut reporter, true, workers, &io),
-            Algorithm::Lbc => crate::lbc::run_parallel(&input, &mut reporter, true, workers, &io),
-            Algorithm::LbcNoPlb => {
-                crate::lbc::run_parallel(&input, &mut reporter, false, workers, &io)
-            }
-            Algorithm::Brute => {
-                // No parallel decomposition for the oracle: run it
-                // sequentially against one private session so the stats
-                // semantics match the other algorithms.
-                let session = self.store.session_with_stats(io.clone());
-                let brute_input = QueryInput {
-                    ctx: NetCtx::new(&self.net, &session, &self.mid),
-                    obj_tree: input.obj_tree,
-                    queries: input.queries.clone(),
-                    attrs: None,
-                    sweep: input.sweep,
-                };
-                crate::brute::run(&brute_input, &mut reporter)
-            }
+        let mut out = dispatch(algo, plan.exec, &input, &mut reporter, &io);
+        let stats = QueryStats {
+            total_time: started.elapsed(),
+            initial_time: reporter.time_to_first(),
+            initial_pages: reporter.pages_to_first(),
         };
-        let total_time = started.elapsed();
-        let io_totals = io.snapshot();
-        let initial_time = reporter.time_to_first();
-        let initial_pages = reporter.pages_to_first();
+
         let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        let index_reads = self.obj_tree.node_reads() + self.mid.node_reads();
-        finish_trace(&mut trace, &out, &io_totals, index_reads, skyline.len());
-        harvest_bound(&mut trace, self.bound.as_ref(), &lb_before);
-        let completion = match out.partial.take() {
-            Some(p) => Completion::Partial(p),
-            None => Completion::Complete,
+        let mut skyline = reporter.into_points();
+        let index_reads = if attributed {
+            self.obj_tree.node_reads() + self.mid.node_reads()
+        } else {
+            0
         };
+        let io = io.snapshot().since(&io_before);
+        finish_trace(&mut trace, &out, &io, index_reads, skyline.len());
+        if let Some(before) = &lb_before {
+            harvest_bound(&mut trace, self.bound.as_ref(), before);
+        }
+        if src != 0 {
+            let unresolved = out.partial.iter_mut().flat_map(|p| &mut p.unresolved);
+            for v in skyline
+                .iter_mut()
+                .map(|p| &mut p.vector)
+                .chain(unresolved.map(|u| &mut u.lower_bounds))
+            {
+                v.swap(0, src);
+            }
+        }
         SkylineResult {
             skyline,
-            stats: QueryStats {
-                candidates: out.candidates,
-                network_pages: io_totals.faults,
-                network_logical: io_totals.logical,
-                total_time,
-                initial_time,
-                initial_pages,
-                nodes_expanded: out.nodes_expanded,
-                index_reads,
-            },
+            stats,
             trace,
-            completion,
+            completion: out
+                .partial
+                .map_or(Completion::Complete, Completion::Partial),
         }
     }
 
@@ -824,50 +629,13 @@ impl SkylineEngine {
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.store.fault_plan()
     }
-
-    /// Runs LBC with an explicit *source* query point selection (§4.3:
-    /// "LBC can use different strategies for selecting the source query
-    /// points to support the applications with user preferences" — skyline
-    /// points near the source are reported first).
-    ///
-    /// The skyline set is independent of the choice; only the report order
-    /// and the cost profile change. Result vectors stay in the order of
-    /// `queries` as passed.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_lbc_with_source(
-        &self,
-        queries: &[NetPosition],
-        strategy: SourceStrategy,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let src = strategy.pick(self, queries);
-        // Rotate the chosen source to the front, run, then permute the
-        // vectors back into the caller's dimension order.
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.swap(0, src);
-        let permuted: Vec<NetPosition> = order.iter().map(|&i| queries[i]).collect();
-        let mut result = self.run(Algorithm::Lbc, &permuted);
-        for p in &mut result.skyline {
-            let mut v = p.vector.clone();
-            // order[k] = original index served at permuted slot k.
-            for (k, &orig) in order.iter().enumerate() {
-                v[orig] = p.vector[k];
-            }
-            // Static attribute dimensions (if any) ride behind the spatial
-            // ones and are unaffected by the permutation.
-            p.vector = v;
-        }
-        result
-    }
 }
 
 /// Completes a query trace with the aggregates only known once the
 /// algorithm returned: heap pops, index reads, page-fault attribution and
-/// the final candidate/skyline sizes. Shared by every result-construction
-/// site so the exported counter set is identical across `run`,
-/// `run_with_store` and `run_parallel`.
+/// the final candidate/skyline sizes. [`SkylineEngine::run_plan`] calls it
+/// for every exec mode, so the exported counter set never depends on how
+/// the query was driven.
 fn finish_trace(
     trace: &mut QueryTrace,
     out: &AlgoOutput,
@@ -947,20 +715,43 @@ fn guard_for(algo: Algorithm, budget: &QueryBudget, fault_base: u64) -> Option<E
     }
 }
 
-/// Routes one sequential query to its algorithm module.
-fn dispatch(algo: Algorithm, input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
-    match algo {
-        Algorithm::Ce => crate::ce::run(input, reporter),
-        Algorithm::Edc => crate::edc::run(input, reporter),
-        Algorithm::EdcBatch => crate::edc::run_batch(input, reporter),
-        Algorithm::Lbc => crate::lbc::run(input, reporter, true),
-        Algorithm::LbcNoPlb => crate::lbc::run(input, reporter, false),
-        Algorithm::Brute => crate::brute::run(input, reporter),
+/// Routes one query to its algorithm module: the sequential form, or
+/// the intra-query parallel one under [`Exec::Parallel`].
+fn dispatch(
+    algo: Algorithm,
+    exec: Exec<'_>,
+    input: &QueryInput<'_>,
+    reporter: &mut Reporter,
+    io: &IoStats,
+) -> AlgoOutput {
+    match (algo, exec) {
+        (Algorithm::Ce, Exec::Parallel(w)) => crate::par::run_ce(input, reporter, w, io),
+        (Algorithm::Ce, _) => crate::ce::run(input, reporter),
+        (Algorithm::Edc, Exec::Parallel(w)) => crate::par::run_edc(input, reporter, false, w, io),
+        (Algorithm::Edc, _) => crate::edc::run(input, reporter),
+        (Algorithm::EdcBatch, Exec::Parallel(w)) => {
+            crate::par::run_edc(input, reporter, true, w, io)
+        }
+        (Algorithm::EdcBatch, _) => crate::edc::run_batch(input, reporter),
+        (Algorithm::Lbc, Exec::Parallel(w)) => {
+            crate::lbc::run_parallel(input, reporter, true, w, io)
+        }
+        (Algorithm::Lbc, _) => crate::lbc::run(input, reporter, true),
+        (Algorithm::LbcNoPlb, Exec::Parallel(w)) => {
+            crate::lbc::run_parallel(input, reporter, false, w, io)
+        }
+        (Algorithm::LbcNoPlb, _) => crate::lbc::run(input, reporter, false),
+        (Algorithm::Brute, _) => crate::brute::run(input, reporter),
     }
 }
 
-/// How [`SkylineEngine::run_lbc_with_source`] picks LBC's source query
-/// point.
+/// Which query point a [`QueryPlan`] runs as its *source* (§4.3: "LBC can
+/// use different strategies for selecting the source query points to
+/// support the applications with user preferences"). LBC grows its
+/// nearest-neighbour stream from the source, so skyline points near it are
+/// reported first; the other algorithms just see the query set reordered.
+/// The skyline is the same under every choice; only the report order and
+/// the cost profile change.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SourceStrategy {
     /// The first query point (LBC's default).
@@ -1050,36 +841,14 @@ mod tests {
     }
 
     #[test]
-    fn source_strategy_preserves_skyline_and_vector_order() {
-        let e = tiny_engine();
-        let qs = vec![
-            NetPosition::new(EdgeId(1), 30.0),
-            NetPosition::new(EdgeId(3), 60.0),
-            NetPosition::new(EdgeId(0), 10.0),
-        ];
-        let base = e.run(Algorithm::Lbc, &qs);
-        for strategy in [
-            SourceStrategy::First,
-            SourceStrategy::Centroid,
-            SourceStrategy::Index(2),
-        ] {
-            let r = e.run_lbc_with_source(&qs, strategy);
-            assert_eq!(r.ids(), base.ids(), "{strategy:?}");
-            for p in &r.skyline {
-                let want = base.vector_of(p.object).expect("same skyline");
-                for (a, b) in p.vector.iter().zip(want) {
-                    assert!(rn_geom::approx_eq(*a, *b), "{strategy:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn source_index_out_of_range_panics() {
         let e = tiny_engine();
         let qs = vec![NetPosition::new(EdgeId(1), 30.0)];
-        e.run_lbc_with_source(&qs, SourceStrategy::Index(5));
+        e.run_plan(&QueryPlan {
+            source: SourceStrategy::Index(5),
+            ..QueryPlan::new(Algorithm::Lbc, &qs)
+        });
     }
 
     #[test]
@@ -1125,8 +894,8 @@ mod tests {
         let qs = vec![NetPosition::new(EdgeId(1), 50.0)];
         let warm_first = e.run(Algorithm::Brute, &qs);
         let warm_second = e.run(Algorithm::Brute, &qs);
-        assert!(warm_second.stats.network_pages <= warm_first.stats.network_pages);
+        assert!(warm_second.page_faults() <= warm_first.page_faults());
         let cold = e.run_cold(Algorithm::Brute, &qs);
-        assert!(cold.stats.network_pages >= warm_second.stats.network_pages);
+        assert!(cold.page_faults() >= warm_second.page_faults());
     }
 }

@@ -822,9 +822,10 @@ fn resolve_batch(
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{Algorithm, SkylineEngine};
+    use crate::engine::{Algorithm, SkylineEngine, SkylineResult};
     use rn_geom::Point;
     use rn_graph::{EdgeId, NetPosition, NetworkBuilder};
+    use rn_obs::Metric;
 
     fn line_engine(objects: &[f64]) -> SkylineEngine {
         let mut b = NetworkBuilder::new();
@@ -862,7 +863,8 @@ mod tests {
         let b = e.run(Algorithm::LbcNoPlb, &qs);
         assert_eq!(a.ids(), b.ids());
         // The plb mode never expands more nodes than the full mode.
-        assert!(a.stats.nodes_expanded <= b.stats.nodes_expanded);
+        let pops = |r: &SkylineResult| r.trace.get(Metric::SpHeapPops);
+        assert!(pops(&a) <= pops(&b));
     }
 
     #[test]
@@ -896,8 +898,9 @@ mod tests {
             NetPosition::new(EdgeId(0), 55.0),
         ];
         let r = e.run(Algorithm::Lbc, &qs);
-        assert!(r.stats.candidates <= 9);
-        assert!(r.stats.candidates >= r.skyline.len());
+        let candidates = r.trace.get(Metric::QueryCandidates);
+        assert!(candidates <= 9);
+        assert!(candidates >= r.skyline.len() as u64);
     }
 
     #[test]

@@ -81,12 +81,12 @@ pub use dist::{
 };
 pub use dynamic::{DynamicConfig, DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
 pub use engine::{
-    Algorithm, Completion, PartialInfo, QueryInput, SkylineEngine, SkylineResult, SourceStrategy,
-    SweepMode, UnresolvedCandidate,
+    Algorithm, Completion, Exec, PartialInfo, QueryInput, QueryPlan, SkylineEngine, SkylineResult,
+    SourceStrategy, SweepMode, UnresolvedCandidate,
 };
 pub use nnq::Aggregate;
 pub use rn_sp::{BoundKind, BoundSpec, LowerBound, OracleBuildStats};
-pub use stats::{QueryStats, Reporter, SkylinePoint};
+pub use stats::{canonical, QueryStats, Reporter, SkylinePoint};
 // Re-exported so trace consumers need no direct rn-obs dependency.
 pub use rn_obs::{
     CancelToken, Event, IncompleteReason, Metric, QueryBudget, QueryTrace, SessionOutcome,

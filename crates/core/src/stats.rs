@@ -2,10 +2,11 @@
 //!
 //! The evaluation (§6) compares the algorithms on candidate-set size,
 //! network disk pages accessed, total response time and *initial* response
-//! time (time until the first skyline point is reported). [`Reporter`]
-//! captures the progressive-reporting side of that: algorithms push each
-//! skyline point through it as soon as the point is confirmed, and the
-//! reporter timestamps the first arrival.
+//! time (time until the first skyline point is reported). The counts live
+//! in each result's deterministic trace; [`QueryStats`] holds the times.
+//! [`Reporter`] captures the progressive-reporting side: algorithms push
+//! each skyline point through it as soon as the point is confirmed, and
+//! the reporter timestamps the first arrival.
 
 use rn_graph::ObjectId;
 use rn_obs::QueryTrace;
@@ -22,14 +23,26 @@ pub struct SkylinePoint {
     pub vector: Vec<f64>,
 }
 
-/// Collects progressively reported skyline points with timing and, when
-/// wired to the network store's counters, the page cost of the first
-/// report (the I/O component of the paper's "initial response time").
+/// The canonical bitwise form of a skyline: `(object id, vector bits)`
+/// sorted by object id. Two skylines with equal forms hold the same
+/// objects with bit-identical vectors, whatever their report order.
+pub fn canonical(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
+    let mut v: Vec<(u32, Vec<u64>)> = points
+        .iter()
+        .map(|p| (p.object.0, p.vector.iter().map(|d| d.to_bits()).collect()))
+        .collect();
+    v.sort();
+    v
+}
+
+/// Collects progressively reported skyline points with timing and the
+/// page cost of the first report (the I/O component of the paper's
+/// "initial response time").
 pub struct Reporter {
     start: Instant,
     first_at: Option<Duration>,
     points: Vec<SkylinePoint>,
-    io: Option<IoStats>,
+    io: IoStats,
     start_faults: u64,
     first_faults: Option<u64>,
     trace: QueryTrace,
@@ -58,33 +71,17 @@ impl Stopwatch {
 }
 
 impl Reporter {
-    /// Starts the clock.
-    // lint: allow(det-taint) — the start timestamp feeds only the
-    // wall-time stats fields (time_to_first, total_time).
-    pub fn new() -> Self {
-        Reporter {
-            start: Instant::now(),
-            first_at: None,
-            points: Vec::new(),
-            io: None,
-            start_faults: 0,
-            first_faults: None,
-            trace: QueryTrace::new(),
-        }
-    }
-
     /// Starts the clock and snapshots `io` so the first report's fault
     /// count can be measured.
     // lint: allow(det-taint) — the start timestamp feeds only the
     // wall-time stats fields (time_to_first, total_time).
     pub fn with_io(io: IoStats) -> Self {
-        let start_faults = io.snapshot().faults;
         Reporter {
             start: Instant::now(),
             first_at: None,
             points: Vec::new(),
-            io: Some(io),
-            start_faults,
+            start_faults: io.faults(),
+            io,
             first_faults: None,
             trace: QueryTrace::new(),
         }
@@ -122,9 +119,7 @@ impl Reporter {
     pub fn mark_first(&mut self) {
         if self.first_at.is_none() {
             self.first_at = Some(self.start.elapsed());
-            if let Some(io) = &self.io {
-                self.first_faults = Some(io.snapshot().faults.saturating_sub(self.start_faults));
-            }
+            self.first_faults = Some(self.io.faults().saturating_sub(self.start_faults));
         }
     }
 
@@ -133,20 +128,9 @@ impl Reporter {
         self.first_at
     }
 
-    /// Network pages faulted before the first report, when constructed
-    /// with [`Reporter::with_io`].
+    /// Network pages faulted before the first report, if any was made.
     pub fn pages_to_first(&self) -> Option<u64> {
         self.first_faults
-    }
-
-    /// Number of points reported so far.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when nothing has been reported.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Consumes the reporter, yielding the reported points in report order.
@@ -155,31 +139,18 @@ impl Reporter {
     }
 }
 
-impl Default for Reporter {
-    fn default() -> Self {
-        Reporter::new()
-    }
-}
-
-/// Everything the experiment harness records about one query execution.
+/// The wall-clock side of one query execution, plus the page cost of its
+/// first report. Work counts (candidates, pages, expansions, index reads)
+/// live only in the deterministic [`QueryTrace`]; time never enters it
+/// (DESIGN.md §18).
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
-    /// Candidate-set size `|C|` as defined per algorithm in §5/§6.2.
-    pub candidates: usize,
-    /// Network disk pages accessed (buffer-pool faults).
-    pub network_pages: u64,
-    /// Logical network page requests (hits + faults).
-    pub network_logical: u64,
     /// Wall-clock total response time.
     pub total_time: Duration,
     /// Wall-clock time until the first skyline point was reported.
     pub initial_time: Option<Duration>,
     /// Network pages faulted before the first skyline point was reported.
     pub initial_pages: Option<u64>,
-    /// Network nodes expanded across all wavefronts/engines.
-    pub nodes_expanded: u64,
-    /// R-tree / B⁺-tree index nodes visited.
-    pub index_reads: u64,
 }
 
 #[cfg(test)]
@@ -188,9 +159,8 @@ mod tests {
 
     #[test]
     fn reporter_timestamps_first_only() {
-        let mut r = Reporter::new();
+        let mut r = Reporter::with_io(IoStats::new());
         assert!(r.time_to_first().is_none());
-        assert!(r.is_empty());
         r.report(SkylinePoint {
             object: ObjectId(1),
             vector: vec![1.0],
@@ -202,9 +172,7 @@ mod tests {
             vector: vec![2.0],
         });
         assert_eq!(r.time_to_first().unwrap(), t1, "first timestamp is sticky");
-        assert_eq!(r.len(), 2);
-        let pts = r.into_points();
-        assert_eq!(pts[0].object, ObjectId(1));
-        assert_eq!(pts[1].object, ObjectId(2));
+        let ids: Vec<ObjectId> = r.into_points().iter().map(|p| p.object).collect();
+        assert_eq!(ids, [ObjectId(1), ObjectId(2)]);
     }
 }

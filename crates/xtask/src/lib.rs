@@ -85,6 +85,13 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
 /// Lints every Rust source under `root` and returns the findings,
 /// sorted by (file, line, rule, message).
 pub fn lint_workspace(root: &Path) -> Vec<Violation> {
+    lint_sources(&workspace_sources(root))
+}
+
+/// The `(workspace-relative path, contents)` pairs [`lint_workspace`]
+/// lints: every Rust source under `crates`, `shims`, `tests` and
+/// `examples`, minus the lint's own negative fixtures.
+pub fn workspace_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     for top in ["crates", "shims", "tests", "examples"] {
         collect_rs_files(&root.join(top), &mut files);
@@ -101,7 +108,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
         };
         sources.push((rel, source));
     }
-    lint_sources(&sources)
+    sources
 }
 
 /// Lints a single file given its workspace-relative path (which decides

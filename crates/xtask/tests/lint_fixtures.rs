@@ -5,6 +5,14 @@
 
 use xtask::{lint_file, lint_file_with, lint_sources, MetricRegistry, Violation};
 
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .to_path_buf()
+}
+
 fn lines_for<'a>(violations: &'a [Violation], rule: &str) -> Vec<(usize, &'a str)> {
     violations
         .iter()
@@ -219,11 +227,45 @@ fn suppression_comment_silences_each_rule() {
 fn workspace_walk_skips_fixture_directory() {
     // The repository's own lint must be clean even though the fixtures
     // deliberately violate every rule.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let v = xtask::lint_workspace(&root);
+    let v = xtask::lint_workspace(&workspace_root());
     assert!(v.is_empty(), "workspace lint must stay clean: {v:?}");
+}
+
+#[test]
+fn panic_path_reaches_every_dispatched_algorithm() {
+    // The real crate sources, with a bare `.unwrap()` injected at the top
+    // of functions the engine's single query path dispatches to: the
+    // sequential oracle and two intra-query parallel algorithms. Each must be
+    // flagged once, as reachable from the public `run_plan` entry point
+    // through its one dispatch.
+    let targets = [
+        ("crates/core/src/brute.rs", "pub(crate) fn run("),
+        ("crates/core/src/lbc.rs", "pub(crate) fn run_parallel("),
+        ("crates/core/src/par.rs", "pub(crate) fn run_edc("),
+    ];
+    let mut sources: Vec<(String, String)> = xtask::workspace_sources(&workspace_root())
+        .into_iter()
+        .filter(|(rel, _)| rel.starts_with("crates/") && rel.contains("/src/"))
+        .collect();
+    let mut injected = Vec::new();
+    for (file, signature) in targets {
+        let (_, src) = sources
+            .iter_mut()
+            .find(|(rel, _)| rel == file)
+            .expect("algorithm source present");
+        let sig = src.find(signature).expect("algorithm signature present");
+        let open = sig + src[sig..].find("{\n").expect("algorithm body");
+        src.insert_str(open + 1, "\n    None::<u8>.unwrap();");
+        injected.push((file.to_string(), src[..open].lines().count() + 1));
+    }
+    let found: Vec<Violation> = lint_sources(&sources)
+        .into_iter()
+        .filter(|v| v.rule == xtask::RULE_PANIC_PATH)
+        .collect();
+    let sites: Vec<(String, usize)> = found.iter().map(|v| (v.file.clone(), v.line)).collect();
+    assert_eq!(sites, injected, "one panic-path finding per injected site");
+    for v in &found {
+        let via = "public entry `SkylineEngine::run_plan` (SkylineEngine::run_plan -> dispatch -> ";
+        assert!(v.message.contains(via), "not reached through run_plan: {v}");
+    }
 }

@@ -15,7 +15,7 @@
 //! loader, the preset generator, map-matching (`locate`), all three
 //! algorithms, statistics, and path reconstruction to the best hotel.
 
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_geom::Point;
 use rn_graph::RoadNetwork;
 use rn_workload::{generate_objects, Preset};
@@ -193,8 +193,8 @@ fn main() -> ExitCode {
         "\n{}: {} skyline objects ({} candidates, {} network pages, {:.2} ms)",
         args.algo.name(),
         result.skyline.len(),
-        result.stats.candidates,
-        result.stats.network_pages,
+        result.trace.get(Metric::QueryCandidates),
+        result.page_faults(),
         result.stats.total_time.as_secs_f64() * 1e3
     );
     for p in &result.skyline {

@@ -10,7 +10,7 @@
 //! cargo run --release --example hotel_finder
 //! ```
 
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_workload::{ca_like, generate_objects, generate_queries};
 
 fn main() {
@@ -54,8 +54,8 @@ fn main() {
             "\n{:<4} {:>4} skyline hotels | {:>5} candidates | {:>6} network pages | {:>8.2} ms total | {:>8.2} ms to first",
             algo.name(),
             result.skyline.len(),
-            result.stats.candidates,
-            result.stats.network_pages,
+            result.trace.get(Metric::QueryCandidates),
+            result.page_faults(),
             result.stats.total_time.as_secs_f64() * 1e3,
             result
                 .stats

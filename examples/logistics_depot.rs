@@ -12,7 +12,7 @@
 //! cargo run --release --example logistics_depot
 //! ```
 
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_workload::{au_like, generate_objects, generate_queries};
 
 fn main() {
@@ -37,8 +37,8 @@ fn main() {
     println!(
         "{} skyline depot sites out of {} candidates considered ({} network pages, {:.1} ms):\n",
         result.skyline.len(),
-        result.stats.candidates,
-        result.stats.network_pages,
+        result.trace.get(Metric::QueryCandidates),
+        result.page_faults(),
         result.stats.total_time.as_secs_f64() * 1e3,
     );
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example priced_hotels
 //! ```
 
-use msq_core::{Algorithm, AttrTable, SkylineEngine};
+use msq_core::{Algorithm, AttrTable, QueryPlan, SkylineEngine};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rn_workload::{ca_like, generate_objects, generate_queries};
@@ -39,7 +39,10 @@ fn main() {
     );
 
     // Now with price as a fourth dimension.
-    let priced = engine.run_with_attrs(Algorithm::Lbc, &landmarks, &attrs);
+    let priced = engine.run_plan(&QueryPlan {
+        attrs: Some(&attrs),
+        ..QueryPlan::new(Algorithm::Lbc, &landmarks)
+    });
     println!(
         "skyline on distances + price: {} hotels\n",
         priced.skyline.len()

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_geom::Point;
 use rn_graph::{NetPosition, NetworkBuilder};
 
@@ -59,7 +59,9 @@ fn main() {
         }
         println!(
             "  [{} candidates, {} network pages, {} nodes expanded]\n",
-            result.stats.candidates, result.stats.network_pages, result.stats.nodes_expanded
+            result.trace.get(Metric::QueryCandidates),
+            result.page_faults(),
+            result.trace.get(Metric::SpHeapPops)
         );
     }
 }

@@ -8,6 +8,7 @@
 //!   EDC's;
 //! * LBC's initial response precedes CE's (the Fig 5(c)/6(c) claim).
 
+use msq_core::Metric::{QueryCandidates, SpHeapPops};
 use msq_core::{Algorithm, SkylineEngine};
 use rn_graph::NetPosition;
 use rn_workload::{generate_network, generate_objects, generate_queries, NetGenConfig};
@@ -34,11 +35,10 @@ fn lbc_expands_no_more_than_ce() {
         let ce = engine.run_cold(Algorithm::Ce, &queries);
         let lbc = engine.run_cold(Algorithm::Lbc, &queries);
         assert_eq!(ce.ids(), lbc.ids(), "sanity: same skyline");
+        let (n_lbc, n_ce) = (lbc.trace.get(SpHeapPops), ce.trace.get(SpHeapPops));
         assert!(
-            lbc.stats.nodes_expanded <= ce.stats.nodes_expanded,
-            "seed {seed}: N(LBC) = {} must not exceed N(CE) = {}",
-            lbc.stats.nodes_expanded,
-            ce.stats.nodes_expanded
+            n_lbc <= n_ce,
+            "seed {seed}: N(LBC) = {n_lbc} must not exceed N(CE) = {n_ce}"
         );
     }
 }
@@ -50,11 +50,10 @@ fn plb_ablation_never_helps() {
         let with = engine.run_cold(Algorithm::Lbc, &queries);
         let without = engine.run_cold(Algorithm::LbcNoPlb, &queries);
         assert_eq!(with.ids(), without.ids());
+        let (n_with, n_without) = (with.trace.get(SpHeapPops), without.trace.get(SpHeapPops));
         assert!(
-            with.stats.nodes_expanded <= without.stats.nodes_expanded,
-            "seed {seed}: plb expansions {} > no-plb {}",
-            with.stats.nodes_expanded,
-            without.stats.nodes_expanded
+            n_with <= n_without,
+            "seed {seed}: plb expansions {n_with} > no-plb {n_without}"
         );
     }
 }
@@ -64,12 +63,13 @@ fn lbc_candidates_do_not_meaningfully_exceed_edc() {
     // The §5 containment is about candidate *spaces*; the measured counts
     // may differ by boundary objects enqueued before their dominators were
     // confirmed, so a small multiplicative tolerance is allowed.
-    let mut total_lbc = 0usize;
-    let mut total_edc = 0usize;
+    let mut total_lbc = 0u64;
+    let mut total_edc = 0u64;
     for seed in 0..6 {
         let (engine, queries) = workload(200 + seed);
-        total_edc += engine.run_cold(Algorithm::Edc, &queries).stats.candidates;
-        total_lbc += engine.run_cold(Algorithm::Lbc, &queries).stats.candidates;
+        let candidates = |algo| engine.run_cold(algo, &queries).trace.get(QueryCandidates);
+        total_edc += candidates(Algorithm::Edc);
+        total_lbc += candidates(Algorithm::Lbc);
     }
     assert!(
         total_lbc as f64 <= total_edc as f64 * 1.10 + 8.0,
@@ -115,7 +115,7 @@ fn total_pages_ordering_holds_at_scale() {
             .into_iter()
             .enumerate()
         {
-            pages[k] += engine.run_cold(algo, &queries).stats.network_pages;
+            pages[k] += engine.run_cold(algo, &queries).page_faults();
         }
     }
     let [ce, edc, lbc] = pages;

@@ -3,6 +3,9 @@
 //! (e.g. hotel price), and all of them agree with the brute-force oracle
 //! on the extended vectors.
 
+mod common;
+
+use common::run_attrs;
 use msq_core::{Algorithm, AttrTable, SkylineEngine};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -40,14 +43,14 @@ fn workload(seed: u64, k_attrs: usize) -> (SkylineEngine, Vec<NetPosition>, Attr
 fn all_algorithms_agree_with_one_attribute() {
     for seed in 0..5 {
         let (engine, queries, attrs) = workload(seed, 1);
-        let brute = engine.run_with_attrs(Algorithm::Brute, &queries, &attrs);
+        let brute = run_attrs(&engine, Algorithm::Brute, &queries, &attrs);
         for algo in [
             Algorithm::Ce,
             Algorithm::Edc,
             Algorithm::Lbc,
             Algorithm::LbcNoPlb,
         ] {
-            let r = engine.run_with_attrs(algo, &queries, &attrs);
+            let r = run_attrs(&engine, algo, &queries, &attrs);
             assert_eq!(r.ids(), brute.ids(), "seed {seed}: {}", algo.name());
         }
     }
@@ -57,9 +60,9 @@ fn all_algorithms_agree_with_one_attribute() {
 fn all_algorithms_agree_with_two_attributes() {
     for seed in 100..103 {
         let (engine, queries, attrs) = workload(seed, 2);
-        let brute = engine.run_with_attrs(Algorithm::Brute, &queries, &attrs);
+        let brute = run_attrs(&engine, Algorithm::Brute, &queries, &attrs);
         for algo in Algorithm::PAPER_SET {
-            let r = engine.run_with_attrs(algo, &queries, &attrs);
+            let r = run_attrs(&engine, algo, &queries, &attrs);
             assert_eq!(r.ids(), brute.ids(), "seed {seed}: {}", algo.name());
         }
     }
@@ -68,7 +71,7 @@ fn all_algorithms_agree_with_two_attributes() {
 #[test]
 fn vectors_carry_the_attribute_dimensions() {
     let (engine, queries, attrs) = workload(7, 2);
-    let r = engine.run_with_attrs(Algorithm::Lbc, &queries, &attrs);
+    let r = run_attrs(&engine, Algorithm::Lbc, &queries, &attrs);
     for p in &r.skyline {
         assert_eq!(p.vector.len(), queries.len() + 2);
         // The trailing dimensions are the object's attribute row verbatim.
@@ -88,22 +91,21 @@ fn attributes_change_the_skyline() {
     // Constant price: skyline identical to the spatial skyline (equal
     // static dimensions never dominate).
     let flat = AttrTable::new(vec![vec![100.0]; engine.object_count()]);
-    let with_flat = engine.run_with_attrs(Algorithm::Lbc, &queries, &flat);
+    let with_flat = run_attrs(&engine, Algorithm::Lbc, &queries, &flat);
     assert_eq!(spatial.ids(), with_flat.ids());
 
     // A price that decreases in object id: the spatial skyline members
     // remain non-dominated or are joined by cheaper objects, never fewer
     // members than the spatial skyline.
-    let prices: Vec<Vec<f64>> = (0..engine.object_count())
-        .map(|i| vec![1000.0 - i as f64])
-        .collect();
-    let with_prices = engine.run_with_attrs(Algorithm::Lbc, &queries, &AttrTable::new(prices));
+    let prices = AttrTable::new(
+        (0..engine.object_count())
+            .map(|i| vec![1000.0 - i as f64])
+            .collect(),
+    );
+    let with_prices = run_attrs(&engine, Algorithm::Lbc, &queries, &prices);
     assert!(with_prices.skyline.len() >= spatial.skyline.len());
     // And it still matches brute force.
-    let prices: Vec<Vec<f64>> = (0..engine.object_count())
-        .map(|i| vec![1000.0 - i as f64])
-        .collect();
-    let brute = engine.run_with_attrs(Algorithm::Brute, &queries, &AttrTable::new(prices));
+    let brute = run_attrs(&engine, Algorithm::Brute, &queries, &prices);
     assert_eq!(with_prices.ids(), brute.ids());
 }
 
@@ -112,5 +114,5 @@ fn attributes_change_the_skyline() {
 fn mismatched_attr_table_panics() {
     let (engine, queries, _) = workload(13, 1);
     let short = AttrTable::new(vec![vec![1.0]]);
-    engine.run_with_attrs(Algorithm::Lbc, &queries, &short);
+    run_attrs(&engine, Algorithm::Lbc, &queries, &short);
 }

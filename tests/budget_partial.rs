@@ -18,10 +18,9 @@
 
 mod common;
 
-use common::{build, canon, params, workload};
+use common::{assert_sound_prefix, build, canon, params, run_capped, run_exec, workload};
 use msq_core::{
-    Algorithm, BatchEngine, CancelToken, Completion, IncompleteReason, Metric, QueryBudget,
-    SkylineEngine, SkylineResult,
+    Algorithm, BatchEngine, CancelToken, Exec, IncompleteReason, Metric, QueryBudget, SkylineEngine,
 };
 use proptest::prelude::*;
 use rn_graph::NetPosition;
@@ -43,51 +42,6 @@ fn fixture() -> (SkylineEngine, Vec<NetPosition>) {
     workload(42, 8, 8, 80, 0.9, 3, 0.3, 1.4)
 }
 
-/// Asserts the partial-result soundness contract of `r` against the brute
-/// oracle's answer.
-fn assert_sound_prefix(r: &SkylineResult, brute: &SkylineResult, label: &str) {
-    for p in &r.skyline {
-        let want = brute.vector_of(p.object).unwrap_or_else(|| {
-            panic!(
-                "{label}: confirmed {:?} is not in the true skyline",
-                p.object
-            )
-        });
-        for (a, b) in p.vector.iter().zip(want) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{label}: confirmed vector for {:?} differs from oracle",
-                p.object
-            );
-        }
-    }
-    if let Completion::Partial(info) = &r.completion {
-        for u in &info.unresolved {
-            // Confirmed and unresolved are disjoint.
-            assert!(
-                r.vector_of(u.object).is_none(),
-                "{label}: {:?} is both confirmed and unresolved",
-                u.object
-            );
-            // Where the oracle knows the true vector, the reported lower
-            // bounds must really be lower bounds.
-            if let Some(truth) = brute.vector_of(u.object) {
-                for (lb, t) in u.lower_bounds.iter().zip(truth) {
-                    assert!(
-                        *lb <= *t + 1e-9,
-                        "{label}: lower bound {lb} exceeds true distance {t} for {:?}",
-                        u.object
-                    );
-                }
-            }
-        }
-    } else {
-        // A complete run must be the full answer.
-        assert_eq!(canon(r), canon(brute), "{label}: complete run != oracle");
-    }
-}
-
 #[test]
 fn unlimited_budget_is_bitwise_transparent() {
     let (engine, queries) = fixture();
@@ -96,7 +50,8 @@ fn unlimited_budget_is_bitwise_transparent() {
         // cold/warm fault attribution.
         engine.run(algo, &queries);
         let plain = engine.run(algo, &queries);
-        let budgeted = engine.run_with_budget(algo, &queries, &QueryBudget::unlimited());
+        let unlimited = QueryBudget::unlimited();
+        let budgeted = run_capped(&engine, algo, &queries, Exec::Warm, unlimited);
         assert!(budgeted.completion.is_complete());
         assert_eq!(canon(&plain), canon(&budgeted), "{}", algo.name());
         assert_eq!(
@@ -113,7 +68,7 @@ fn unlimited_budget_is_bitwise_transparent() {
 fn brute_oracle_is_exempt_from_budgets() {
     let (engine, queries) = fixture();
     let budget = QueryBudget::unlimited().with_max_expansions(1);
-    let r = engine.run_with_budget(Algorithm::Brute, &queries, &budget);
+    let r = run_capped(&engine, Algorithm::Brute, &queries, Exec::Warm, budget);
     assert!(r.completion.is_complete());
     assert_eq!(canon(&r), canon(&engine.run(Algorithm::Brute, &queries)));
 }
@@ -124,7 +79,7 @@ fn tripped_runs_report_reason_and_trace_metrics() {
     let brute = engine.run(Algorithm::Brute, &queries);
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_max_expansions(1);
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_capped(&engine, algo, &queries, Exec::Warm, budget);
         let info = r
             .completion
             .partial()
@@ -154,7 +109,7 @@ fn pre_cancelled_token_yields_sound_partial() {
     token.cancel();
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_cancel(token.clone());
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_capped(&engine, algo, &queries, Exec::Warm, budget);
         let info = r
             .completion
             .partial()
@@ -170,7 +125,7 @@ fn expired_deadline_yields_sound_partial() {
     let brute = engine.run(Algorithm::Brute, &queries);
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_capped(&engine, algo, &queries, Exec::Warm, budget);
         let info = r
             .completion
             .partial()
@@ -189,13 +144,14 @@ fn capped_parallel_runs_are_worker_count_invariant() {
     let brute = engine.run(Algorithm::Brute, &queries);
     for algo in GOVERNED {
         // Trip roughly mid-run: half the full parallel expansion count.
-        let full = engine.run_parallel(algo, &queries, 2);
-        let cap = (full.stats.nodes_expanded / 2).max(1);
+        let full = run_exec(&engine, algo, &queries, Exec::Parallel(2));
+        let cap = (full.trace.get(Metric::SpHeapPops) / 2).max(1);
         let budget = QueryBudget::unlimited().with_max_expansions(cap);
-        let base = engine.run_parallel_with_budget(algo, &queries, 1, &budget);
+        let base = run_capped(&engine, algo, &queries, Exec::Parallel(1), budget.clone());
         assert_sound_prefix(&base, &brute, algo.name());
         for workers in [2usize, 8] {
-            let r = engine.run_parallel_with_budget(algo, &queries, workers, &budget);
+            let exec = Exec::Parallel(workers);
+            let r = run_capped(&engine, algo, &queries, exec, budget.clone());
             assert_eq!(
                 canon(&r),
                 canon(&base),
@@ -237,7 +193,7 @@ fn batch_budget_is_per_query_and_worker_count_invariant() {
         let max_cost = full
             .results
             .iter()
-            .map(|r| r.stats.nodes_expanded)
+            .map(|r| r.trace.get(Metric::SpHeapPops))
             .max()
             .unwrap();
         let budget = QueryBudget::unlimited().with_max_expansions((max_cost / 2).max(1));
@@ -292,9 +248,9 @@ proptest! {
         let brute = engine.run(Algorithm::Brute, &queries);
         for algo in GOVERNED {
             let full = engine.run(algo, &queries);
-            let cap = (full.stats.nodes_expanded / denom).max(1);
+            let cap = (full.trace.get(Metric::SpHeapPops) / denom).max(1);
             let budget = QueryBudget::unlimited().with_max_expansions(cap);
-            let r = engine.run_with_budget(algo, &queries, &budget);
+            let r = run_capped(&engine, algo, &queries, Exec::Warm, budget);
             assert_sound_prefix(&r, &brute, algo.name());
         }
     }

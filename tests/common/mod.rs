@@ -6,7 +6,9 @@
 
 #![allow(dead_code)]
 
-use msq_core::{Algorithm, SkylineEngine, SkylineResult};
+use msq_core::{
+    Algorithm, AttrTable, Completion, Exec, QueryBudget, QueryPlan, SkylineEngine, SkylineResult,
+};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::{ca_like, generate_network, generate_objects, generate_queries, NetGenConfig};
@@ -137,15 +139,95 @@ pub fn build(p: &Params) -> Option<SkylineEngine> {
     Some(SkylineEngine::build(net, objects))
 }
 
-/// Canonical bitwise form of a result: `(object, vector bits)` sorted by
-/// object id. Two results with equal canon have identical skyline sets
-/// with identical `f64` vectors down to the last bit.
+/// `algo` over `queries` under `exec`, every other plan field at its
+/// default.
+pub fn run_exec(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    exec: Exec<'_>,
+) -> SkylineResult {
+    engine.run_plan(&QueryPlan {
+        exec,
+        ..QueryPlan::new(algo, queries)
+    })
+}
+
+/// `algo` over `queries` with the static dimensions of `attrs` appended
+/// to every vector.
+pub fn run_attrs(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    attrs: &AttrTable,
+) -> SkylineResult {
+    engine.run_plan(&QueryPlan {
+        attrs: Some(attrs),
+        ..QueryPlan::new(algo, queries)
+    })
+}
+
+/// [`run_exec`] under `budget`.
+pub fn run_capped(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    exec: Exec<'_>,
+    budget: QueryBudget,
+) -> SkylineResult {
+    engine.run_plan(&QueryPlan {
+        exec,
+        budget,
+        ..QueryPlan::new(algo, queries)
+    })
+}
+
+/// [`msq_core::canonical`] of a result's skyline.
 pub fn canon(r: &SkylineResult) -> Vec<(u32, Vec<u64>)> {
-    let mut v: Vec<(u32, Vec<u64>)> = r
-        .skyline
-        .iter()
-        .map(|p| (p.object.0, p.vector.iter().map(|d| d.to_bits()).collect()))
-        .collect();
-    v.sort();
-    v
+    msq_core::canonical(&r.skyline)
+}
+
+/// Asserts the partial-result soundness contract of `r` against the brute
+/// oracle's answer.
+pub fn assert_sound_prefix(r: &SkylineResult, brute: &SkylineResult, label: &str) {
+    for p in &r.skyline {
+        let want = brute.vector_of(p.object).unwrap_or_else(|| {
+            panic!(
+                "{label}: confirmed {:?} is not in the true skyline",
+                p.object
+            )
+        });
+        for (a, b) in p.vector.iter().zip(want) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{label}: confirmed vector for {:?} differs from oracle",
+                p.object
+            );
+        }
+    }
+    if let Completion::Partial(info) = &r.completion {
+        for u in &info.unresolved {
+            // Confirmed and unresolved are disjoint.
+            assert!(
+                r.vector_of(u.object).is_none(),
+                "{label}: {:?} is both confirmed and unresolved",
+                u.object
+            );
+            // Where the oracle knows the true vector, the reported lower
+            // bounds must really be lower bounds.
+            if let Some(truth) = brute.vector_of(u.object) {
+                for (lb, t) in u.lower_bounds.iter().zip(truth) {
+                    assert!(
+                        *lb <= *t + 1e-9,
+                        "{label}: lower bound {lb} exceeds true distance {t} for {:?}",
+                        u.object
+                    );
+                }
+            }
+        }
+    } else {
+        // A complete run must be the full answer.
+        assert_eq!(canon(r), canon(brute), "{label}: complete run != oracle");
+    }
 }

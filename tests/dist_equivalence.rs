@@ -17,7 +17,7 @@
 mod common;
 
 use common::{build, params};
-use msq_core::{Algorithm, DistEngine, DistResult, Metric, SkylineEngine, SkylinePoint};
+use msq_core::{canonical, Algorithm, DistEngine, DistResult, Metric, SkylineEngine};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -26,16 +26,6 @@ const ALGOS: [Algorithm; 3] = [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc];
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Bitwise canonical form of a skyline point list.
-fn canon_points(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
-    let mut v: Vec<(u32, Vec<u64>)> = points
-        .iter()
-        .map(|p| (p.object.0, p.vector.iter().map(|d| d.to_bits()).collect()))
-        .collect();
-    v.sort();
-    v
-}
-
 /// The full contract for one (engine, queries) workload: every
 /// (algorithm, k, workers) cell matches the single-machine answer
 /// bitwise, and comm stats + trace are worker-count-invariant per
@@ -43,14 +33,14 @@ fn canon_points(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
 fn assert_dist_contract(engine: &SkylineEngine, queries: &[NetPosition], label: &str) {
     for algo in ALGOS {
         let single = engine.run(algo, queries);
-        let want = canon_points(&single.skyline);
+        let want = canonical(&single.skyline);
         for k in SHARD_COUNTS {
             let dist = DistEngine::new(engine, k);
             let mut base: Option<(DistResult, String)> = None;
             for workers in WORKER_COUNTS {
                 let r = dist.run_local(algo, queries, workers);
                 assert_eq!(
-                    canon_points(&r.skyline),
+                    canonical(&r.skyline),
                     want,
                     "{label}: {} k={k} workers={workers} diverged from single-machine",
                     algo.name()
@@ -123,7 +113,7 @@ fn smoke_k4() {
     let single = engine.run(Algorithm::Lbc, &queries);
     let dist = DistEngine::new(&engine, 4);
     let r = dist.run_local(Algorithm::Lbc, &queries, 2);
-    assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
+    assert_eq!(canonical(&r.skyline), canonical(&single.skyline));
     // Protocol shape: one broadcast round, one summary round, at most
     // one poll round per shard; every message was counted.
     assert!(r.comm.rounds >= 2);
@@ -144,7 +134,7 @@ fn single_shard_is_single_machine() {
     let single = engine.run(Algorithm::Ce, &queries);
     let dist = DistEngine::new(&engine, 1);
     let r = dist.run_local(Algorithm::Ce, &queries, 1);
-    assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
+    assert_eq!(canonical(&r.skyline), canonical(&single.skyline));
     assert_eq!(r.comm.shards_pruned, 0);
     assert_eq!(r.comm.candidates_local, single.skyline.len() as u64);
     assert_eq!(r.comm.candidates_sent, single.skyline.len() as u64);
@@ -159,7 +149,7 @@ fn oversharding_stays_exact() {
     let single = engine.run(Algorithm::Edc, &queries);
     let dist = DistEngine::new(&engine, 8);
     let r = dist.run_local(Algorithm::Edc, &queries, 8);
-    assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
+    assert_eq!(canonical(&r.skyline), canonical(&single.skyline));
     let empty = r.shards.iter().filter(|s| s.objects == 0).count();
     for s in r.shards.iter().filter(|s| s.objects == 0) {
         assert_eq!(s.local, 0);

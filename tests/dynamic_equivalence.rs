@@ -18,9 +18,9 @@
 
 mod common;
 
-use common::canon;
+use common::{canon, run_exec};
 use msq_core::{
-    Algorithm, BoundSpec, DynamicConfig, DynamicEngine, OracleMaintenance, SkylinePoint,
+    Algorithm, BoundSpec, DynamicConfig, DynamicEngine, Exec, OracleMaintenance, SkylinePoint,
 };
 use proptest::prelude::*;
 use rn_workload::{generate_queries, ChurnConfig, UpdateStream};
@@ -87,7 +87,7 @@ proptest! {
                 );
                 for algo in Algorithm::PAPER_SET {
                     for workers in [1usize, 2, 8] {
-                        let r = scratch.run_parallel(algo, &points, workers);
+                        let r = run_exec(&scratch, algo, &points, Exec::Parallel(workers));
                         prop_assert!(
                             r.completion.is_complete(),
                             "{} unexpectedly partial", algo.name()

@@ -5,7 +5,7 @@
 mod common;
 
 use common::ca_engine;
-use msq_core::{Algorithm, SkylineEngine};
+use msq_core::{Algorithm, Metric, SkylineEngine};
 use rn_workload::{ca_like, generate_objects, generate_queries};
 
 #[test]
@@ -16,8 +16,8 @@ fn full_pipeline_on_ca_preset() {
     for algo in Algorithm::PAPER_SET {
         let r = engine.run_cold(algo, &queries);
         assert!(!r.skyline.is_empty(), "{}", algo.name());
-        assert!(r.stats.network_pages > 0);
-        assert!(r.stats.candidates > 0);
+        assert!(r.page_faults() > 0);
+        assert!(r.trace.get(Metric::QueryCandidates) > 0);
         assert!(r.stats.initial_time.is_some());
         match &reference {
             None => reference = Some(r.ids()),
@@ -32,9 +32,12 @@ fn warm_buffer_reduces_faults() {
     let queries = generate_queries(engine.network(), 3, 0.316, 2222);
     let cold = engine.run_cold(Algorithm::Lbc, &queries);
     let warm = engine.run(Algorithm::Lbc, &queries);
-    assert!(warm.stats.network_pages <= cold.stats.network_pages);
+    assert!(warm.page_faults() <= cold.page_faults());
     // Logical request counts are identical — the work is deterministic.
-    assert_eq!(warm.stats.network_logical, cold.stats.network_logical);
+    assert_eq!(
+        warm.trace.get(Metric::StoragePageRequests),
+        cold.trace.get(Metric::StoragePageRequests)
+    );
     assert_eq!(warm.ids(), cold.ids());
 }
 
@@ -45,9 +48,8 @@ fn repeat_runs_are_deterministic() {
     let a = engine.run_cold(Algorithm::Edc, &queries);
     let b = engine.run_cold(Algorithm::Edc, &queries);
     assert_eq!(a.ids(), b.ids());
-    assert_eq!(a.stats.network_pages, b.stats.network_pages);
-    assert_eq!(a.stats.candidates, b.stats.candidates);
-    assert_eq!(a.stats.nodes_expanded, b.stats.nodes_expanded);
+    // Every work counter (pages, candidates, expansions, ...) repeats.
+    assert_eq!(a.trace.counters_json(), b.trace.counters_json());
 }
 
 #[test]

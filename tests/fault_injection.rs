@@ -20,9 +20,9 @@
 
 mod common;
 
-use common::{canon, workload};
+use common::{canon, run_capped, run_exec, workload};
 use msq_core::{
-    Algorithm, FaultPlan, IncompleteReason, Metric, QueryBudget, SkylineEngine, SkylineResult,
+    Algorithm, Exec, FaultPlan, IncompleteReason, Metric, QueryBudget, SkylineEngine, SkylineResult,
 };
 use rn_graph::NetPosition;
 
@@ -68,8 +68,8 @@ fn faults_change_costs_never_answers() {
             algo.name()
         );
         assert_eq!(
-            clean.stats.network_pages,
-            faulted.stats.network_pages,
+            clean.page_faults(),
+            faulted.page_faults(),
             "{}: fault injection changed the page-fault count",
             algo.name()
         );
@@ -116,10 +116,10 @@ fn faulted_parallel_runs_are_worker_count_invariant() {
     let (engine, queries) = fixture();
     engine.set_fault_plan(Some(FaultPlan::new(0xBAD5EED, FAIL_PER_64K)));
     for algo in ALL {
-        let base = engine.run_parallel(algo, &queries, 1);
+        let base = run_exec(&engine, algo, &queries, Exec::Parallel(1));
         assert!(injected(&base) > 0, "{}", algo.name());
         for workers in [2usize, 8] {
-            let r = engine.run_parallel(algo, &queries, workers);
+            let r = run_exec(&engine, algo, &queries, Exec::Parallel(workers));
             assert_eq!(
                 canon(&r),
                 canon(&base),
@@ -149,10 +149,10 @@ fn page_fault_cap_composes_with_injection() {
     let brute = engine.run(Algorithm::Brute, &queries);
     engine.set_fault_plan(Some(FaultPlan::new(11, FAIL_PER_64K)));
     for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-        let full = engine.run_parallel(algo, &queries, 2);
-        let cap = (full.stats.network_pages / 2).max(1);
+        let full = run_exec(&engine, algo, &queries, Exec::Parallel(2));
+        let cap = (full.page_faults() / 2).max(1);
         let budget = QueryBudget::unlimited().with_max_page_faults(cap);
-        let base = engine.run_parallel_with_budget(algo, &queries, 1, &budget);
+        let base = run_capped(&engine, algo, &queries, Exec::Parallel(1), budget.clone());
         let info = base
             .completion
             .partial()
@@ -172,7 +172,8 @@ fn page_fault_cap_composes_with_injection() {
             }
         }
         for workers in [2usize, 8] {
-            let r = engine.run_parallel_with_budget(algo, &queries, workers, &budget);
+            let exec = Exec::Parallel(workers);
+            let r = run_capped(&engine, algo, &queries, exec, budget.clone());
             assert_eq!(
                 canon(&r),
                 canon(&base),
@@ -213,7 +214,7 @@ fn fault_schedule_report() {
             injected(&r),
             r.trace.get(Metric::StorageIoRetries),
             r.trace.get(Metric::StorageIoBackoffUs),
-            r.stats.network_pages,
+            r.page_faults(),
             r.skyline.len(),
             if i + 1 < ALL.len() { "," } else { "" },
         ));

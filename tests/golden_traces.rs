@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The counters are also cross-checked against the `brute` oracle and
-//! the per-query [`msq_core::QueryStats`], so a snapshot can never drift
-//! away from what the engine actually did.
+//! the engine store's own I/O meter, so a snapshot can never drift away
+//! from what the engine actually did.
 
 mod common;
 
@@ -57,12 +57,14 @@ fn assert_matches_golden(name: &str, exported: &str) {
 
 fn check_algo(name: &str, algo: Algorithm) {
     let (engine, queries) = fixture();
+    let before = engine.store_ref().stats().snapshot();
     let r = engine.run_cold(algo, &queries);
+    let io = engine.store_ref().stats().snapshot().since(&before);
 
     // -- Snapshot: the feature-stable counter export ----------------------
     assert_matches_golden(name, &r.trace.counters_json());
 
-    // -- Cross-checks: counters vs the oracle and the stats block ---------
+    // -- Cross-checks: counters vs the oracle and the store's own meter ---
     let brute = engine.run_cold(Algorithm::Brute, &queries);
     assert_eq!(r.ids(), brute.ids(), "{name}: skyline diverged from oracle");
     assert_eq!(
@@ -70,30 +72,16 @@ fn check_algo(name: &str, algo: Algorithm) {
         brute.skyline.len() as u64,
         "{name}: query.skyline.size counter != oracle skyline cardinality"
     );
-    assert_eq!(
-        r.trace.get(Metric::QueryCandidates),
-        r.stats.candidates as u64,
-        "{name}: query.candidates counter != stats"
-    );
     assert!(
         r.trace.get(Metric::QueryCandidates) >= r.trace.get(Metric::QuerySkylineSize),
         "{name}: fewer candidates than skyline members"
     );
-    assert_eq!(
-        r.trace.get(Metric::SpHeapPops),
-        r.stats.nodes_expanded,
-        "{name}: sp.heap_pops counter != stats.nodes_expanded"
-    );
-    assert_eq!(
-        r.trace.get(Metric::StoragePageRequests),
-        r.stats.network_logical,
-        "{name}: storage.page.requests counter != stats.network_logical"
-    );
     // A cold run faults every page it touches exactly once per first
-    // touch; cold + warm attribution must cover the fault count exactly.
+    // touch; cold + warm attribution must cover the store's fault count
+    // exactly.
     assert_eq!(
-        r.trace.get(Metric::StoragePageFaultsCold) + r.trace.get(Metric::StoragePageFaultsWarm),
-        r.stats.network_pages,
+        r.page_faults(),
+        io.faults,
         "{name}: cold/warm attribution does not cover the fault count"
     );
     assert!(

@@ -15,8 +15,8 @@
 
 mod common;
 
-use common::{build, canon, params};
-use msq_core::{Algorithm, BoundSpec, SkylineEngine};
+use common::{build, canon, params, run_exec};
+use msq_core::{Algorithm, BoundSpec, Exec, Metric, SkylineEngine};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -79,7 +79,7 @@ proptest! {
             for spec in SPECS {
                 engine.set_bound(spec);
                 for workers in [1usize, 2, 8] {
-                    let got = canon(&engine.run_parallel(algo, &queries, workers));
+                    let got = canon(&run_exec(&engine, algo, &queries, Exec::Parallel(workers)));
                     match &base {
                         None => base = Some(got),
                         Some(b) => prop_assert_eq!(
@@ -128,7 +128,7 @@ fn oracles_prune_detour_heavy_workloads() {
         let mut total = 0u64;
         for qs in &query_sets {
             for algo in [Algorithm::Edc, Algorithm::Lbc] {
-                total += engine.run(algo, qs).stats.nodes_expanded;
+                total += engine.run(algo, qs).trace.get(Metric::SpHeapPops);
             }
         }
         totals.push(total);

@@ -15,8 +15,8 @@
 
 mod common;
 
-use common::{build, canon, params};
-use msq_core::{Algorithm, BatchEngine, SkylineResult};
+use common::{build, canon, params, run_exec};
+use msq_core::{Algorithm, BatchEngine, Exec, SkylineResult};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -61,8 +61,8 @@ proptest! {
                         algo.name(), workers, q, p
                     );
                     prop_assert_eq!(
-                        par.stats.network_pages,
-                        seq.stats.network_pages,
+                        par.page_faults(),
+                        seq.page_faults(),
                         "{} fault count diverged: workers={}, query={}, {:?}",
                         algo.name(), workers, q, p
                     );
@@ -79,7 +79,7 @@ proptest! {
         let queries = generate_queries(engine.network(), p.nq, 0.5, p.seed + 7);
         for algo in Algorithm::PAPER_SET {
             let sequential = engine.run_cold(algo, &queries);
-            let base = engine.run_parallel(algo, &queries, 1);
+            let base = run_exec(&engine, algo, &queries, Exec::Parallel(1));
             prop_assert_eq!(
                 canon(&base),
                 canon(&sequential),
@@ -87,7 +87,7 @@ proptest! {
                 algo.name(), p
             );
             for workers in [2usize, 8] {
-                let r = engine.run_parallel(algo, &queries, workers);
+                let r = run_exec(&engine, algo, &queries, Exec::Parallel(workers));
                 prop_assert_eq!(
                     canon(&r),
                     canon(&base),
@@ -95,8 +95,8 @@ proptest! {
                     algo.name(), workers, p
                 );
                 prop_assert_eq!(
-                    r.stats.network_pages,
-                    base.stats.network_pages,
+                    r.page_faults(),
+                    base.page_faults(),
                     "{} fault count not worker-count-invariant: workers={}, {:?}",
                     algo.name(), workers, p
                 );

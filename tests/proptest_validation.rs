@@ -7,6 +7,9 @@
 //! with randomized exploration of the parameter space, including
 //! shrinking when a counterexample is ever found.
 
+mod common;
+
+use common::run_attrs;
 use msq_core::{Algorithm, AttrTable, SkylineEngine};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -99,9 +102,9 @@ proptest! {
             .map(|_| (0..k).map(|_| rng.random_range(1.0..100.0)).collect())
             .collect();
         let attrs = AttrTable::new(rows);
-        let brute = engine.run_with_attrs(Algorithm::Brute, &queries, &attrs);
+        let brute = run_attrs(&engine, Algorithm::Brute, &queries, &attrs);
         for algo in Algorithm::PAPER_SET {
-            let r = engine.run_with_attrs(algo, &queries, &attrs);
+            let r = run_attrs(&engine, algo, &queries, &attrs);
             prop_assert_eq!(
                 r.ids(),
                 brute.ids(),

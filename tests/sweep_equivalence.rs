@@ -5,7 +5,8 @@
 //! every algorithm that resolves distance batches — EDC in both forms,
 //! LBC with and without plb — the batched and the single-target engines
 //! must return **bitwise identical** skyline sets and distance vectors,
-//! sequentially and at 1, 2 and 8 workers.
+//! sequentially and at 1, 2 and 8 workers. Batched sweeps are the
+//! [`msq_core::QueryPlan`] default, so plain `run_cold` runs them.
 //!
 //! Run with `--features msq-core/invariant-checks` (the CI contracts job
 //! does) to execute the same property with the pack sweep's heap-pop
@@ -13,8 +14,8 @@
 
 mod common;
 
-use common::{build, canon, params};
-use msq_core::{Algorithm, Metric, SweepMode};
+use common::{build, canon, params, run_exec};
+use msq_core::{Algorithm, Exec, Metric, QueryPlan, SweepMode};
 use proptest::prelude::*;
 use rn_workload::generate_queries;
 
@@ -37,14 +38,18 @@ proptest! {
         let Some(engine) = build(&p) else { return Ok(()) };
         let queries = generate_queries(engine.network(), p.nq, 0.5, p.seed + 7);
         for algo in BATCHING_ALGOS {
-            let single = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
+            let single = engine.run_plan(&QueryPlan {
+                exec: Exec::Cold,
+                sweep: SweepMode::SingleTarget,
+                ..QueryPlan::new(algo, &queries)
+            });
             // Single-target mode must never open a pack.
             prop_assert_eq!(
                 single.trace.get(Metric::SpAstarPackSweeps), 0,
                 "{} recorded pack sweeps in single-target mode: {:?}",
                 algo.name(), p
             );
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let batched = engine.run_cold(algo, &queries);
             prop_assert_eq!(
                 canon(&batched),
                 canon(&single),
@@ -52,9 +57,7 @@ proptest! {
                 algo.name(), p
             );
             for workers in [1usize, 2, 8] {
-                let r = engine.run_parallel_with_mode(
-                    algo, &queries, workers, SweepMode::Batched,
-                );
+                let r = run_exec(&engine, algo, &queries, Exec::Parallel(workers));
                 prop_assert_eq!(
                     canon(&r),
                     canon(&single),
@@ -79,8 +82,12 @@ proptest! {
         let Some(engine) = build(&p) else { return Ok(()) };
         let queries = generate_queries(engine.network(), p.nq, 0.5, p.seed + 13);
         for algo in [Algorithm::Edc, Algorithm::EdcBatch] {
-            let single = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let single = engine.run_plan(&QueryPlan {
+                exec: Exec::Cold,
+                sweep: SweepMode::SingleTarget,
+                ..QueryPlan::new(algo, &queries)
+            });
+            let batched = engine.run_cold(algo, &queries);
             prop_assert!(
                 batched.trace.get(Metric::SpAstarRetargets)
                     <= single.trace.get(Metric::SpAstarRetargets),
@@ -106,7 +113,7 @@ proptest! {
             );
         }
         for algo in [Algorithm::Lbc, Algorithm::LbcNoPlb] {
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let batched = engine.run_cold(algo, &queries);
             // Every sweep carries at least one destination (empty packs
             // are free no-ops and never counted).
             prop_assert!(
@@ -127,7 +134,7 @@ proptest! {
 fn fixture_runs_resolve_through_packs() {
     let (engine, queries) = common::workload(2, 8, 8, 90, 0.8, 3, 0.3, 1.4);
     for algo in BATCHING_ALGOS {
-        let r = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+        let r = engine.run_cold(algo, &queries);
         assert!(
             r.trace.get(Metric::SpAstarPackSweeps) > 0,
             "{}: no pack sweeps on the fixture workload",
