@@ -13,10 +13,11 @@
 //! * **expansions** — nodes settled across all wavefronts. Bounded by
 //!   `single + retargets` (a deferred pack re-key wastes at most one
 //!   steered-dead pop), so this column moves little in either direction.
-//! * **retargets** — frontier-heap re-keys, each one compaction pass
-//!   over the frontier keys touched since the last re-key plus an
-//!   O(|live frontier|) heapify. This is where packs win: k single-target
-//!   resolutions pay k re-keys, a pack pays one plus one per
+//! * **retargets** — `set_target` calls plus pack re-keys. A re-key is
+//!   one compaction pass over the frontier keys touched since the last
+//!   re-key plus an O(|live frontier|) keying pass; an endpoint-exact
+//!   `set_target` does neither. This is where packs win: k single-target
+//!   resolutions pay k retargets, a pack pays one re-key plus one per
 //!   steered-dead pop.
 //! * **page faults** (cold/warm) and **wall / response time**.
 //!
@@ -41,7 +42,7 @@ pub const SWEEP_ALGOS: [Algorithm; 4] = [
 pub struct ModeTotals {
     /// Network nodes expanded across all wavefronts.
     pub expansions: u64,
-    /// Frontier-heap re-keys (`sp.astar.retargets`).
+    /// `set_target` calls plus pack re-keys (`sp.astar.retargets`).
     pub retargets: u64,
     /// Pack sweeps opened (zero in single-target mode).
     pub pack_sweeps: u64,

@@ -17,8 +17,11 @@
 //!   the query point whose `plb` to a candidate is smallest and abandons
 //!   the candidate as soon as every `plb` proves it dominated.
 //!
-//! Retargeting keeps the settled map and the frontier's `g` values and
-//! merely re-keys the frontier heap under the new heuristic.
+//! Retargeting keeps the settled map and the frontier's `g` values. A
+//! target whose edge endpoints are both settled is exact at once and keys
+//! nothing; any other retarget re-keys the live frontier under the new
+//! heuristic *lazily*: it sets the few smallest keys aside and heapifies
+//! the rest only once those are used up (DESIGN.md §11.6).
 //!
 //! The heuristic itself is pluggable: every evaluation goes through the
 //! context's [`LowerBound`] seam ([`NetCtx::lb`]). The default Euclidean
@@ -36,6 +39,14 @@ use rn_storage::AdjRecord;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// A frontier entry `(g + h, g, node)`. Entries pop in the total order on
+/// the triple, however they are stored.
+type Entry = (OrdF64, OrdF64, NodeId);
+
+/// How many of a re-key's smallest entries are set aside sorted, so that a
+/// visit popping at most that many nodes never heapifies the rest.
+const LAZY_TOP: usize = 4;
+
 /// Per-target state.
 struct Target {
     pos: NetPosition,
@@ -47,6 +58,9 @@ struct Target {
     known: f64,
     /// Monotone lower bound on the network distance to the target.
     plb: f64,
+    /// Both target-edge endpoints were settled when the target was set, so
+    /// `known` is the distance and the frontier was not keyed for it.
+    exact: bool,
 }
 
 /// Per-target state inside a multi-target pack sweep
@@ -105,7 +119,8 @@ pub struct AStarStats {
     pub expansions: u64,
     /// Exact distances read ([`AStar::confirms`]).
     pub confirms: u64,
-    /// Frontier-heap re-keys ([`AStar::retargets`]).
+    /// Retargets: `set_target` calls plus pack re-keys
+    /// ([`AStar::retargets`]).
     pub retargets: u64,
     /// Pack sweeps opened ([`AStar::pack_sweeps`]).
     pub pack_sweeps: u64,
@@ -139,16 +154,24 @@ pub struct AStar<'a> {
     /// Frontier: best tentative distance and coordinates.
     open: NodeMap<(f64, Point)>,
     /// Min-heap keyed by `g + h(current target)`; entries carry `g` so
-    /// stale ones can be skipped after relaxations or retargets.
-    heap: BinaryHeap<Reverse<(OrdF64, OrdF64, NodeId)>>,
+    /// stale ones can be skipped after relaxations or retargets. While a
+    /// lazy re-key is pending it holds only what `expand` pushed since.
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Lazy re-key: keyed frontier entries not yet heapified, each larger
+    /// than every entry of `aside`.
+    keyed: Vec<Reverse<Entry>>,
+    /// Lazy re-key: the re-key's `LAZY_TOP` smallest entries, sorted
+    /// descending so the smallest is last.
+    aside: Vec<Entry>,
     target: Option<Target>,
     rec: AdjRecord,
     expansions: u64,
     /// Exact distances read via [`AStar::result`].
     confirms: u64,
-    /// Frontier-heap re-keys since the last rebase: one per
-    /// [`AStar::set_target`] call, one per pack-open re-key, one per
-    /// mid-sweep re-key forced by a confirmed heuristic minimizer.
+    /// Retargets since the last rebase: one per [`AStar::set_target`]
+    /// call (an endpoint-exact one keys nothing), one per pack-open
+    /// re-key, one per mid-sweep re-key forced by a confirmed heuristic
+    /// minimizer.
     retargets: u64,
     /// Pack sweeps opened via [`AStar::distances_to_pack`].
     pack_sweeps: u64,
@@ -177,6 +200,8 @@ impl<'a> AStar<'a> {
             dist: NodeMap::new(ctx.net.node_count()),
             open: NodeMap::new(ctx.net.node_count()),
             heap: BinaryHeap::new(),
+            keyed: Vec::new(),
+            aside: Vec::new(),
             target: None,
             rec: AdjRecord::default(),
             expansions: 0,
@@ -205,6 +230,8 @@ impl<'a> AStar<'a> {
         self.dist.clear();
         self.open.clear();
         self.heap.clear();
+        self.keyed.clear();
+        self.aside.clear();
         self.target = None;
         self.expansions = 0;
         self.confirms = 0;
@@ -238,8 +265,9 @@ impl<'a> AStar<'a> {
         self.confirms
     }
 
-    /// Frontier-heap re-keys so far: [`AStar::set_target`] calls plus
-    /// pack-open and forced mid-sweep re-keys.
+    /// Retargets so far: [`AStar::set_target`] calls plus pack-open and
+    /// forced mid-sweep re-keys. An endpoint-exact `set_target` counts
+    /// here but does no heap work.
     pub fn retargets(&self) -> u64 {
         self.retargets
     }
@@ -279,32 +307,50 @@ impl<'a> AStar<'a> {
         self.dist.get_copied(n)
     }
 
-    /// Points the engine at a new target, re-keying the frontier under the
-    /// new heuristic and seeding the best-known path from state already
-    /// settled. Any previous target is abandoned.
+    /// Points the engine at a new target, seeding the best-known path from
+    /// state already settled. Any previous target is abandoned. When both
+    /// endpoints of the target edge are settled, that path is the distance
+    /// and the target is resolved at once; otherwise the frontier is
+    /// re-keyed under the new heuristic.
     pub fn set_target(&mut self, pos: NetPosition) {
         self.retargets += 1;
         let lbt = LbTarget::of(self.ctx.net, &pos);
-        let mut known = f64::INFINITY;
-        if pos.edge == self.source.edge {
-            known = (pos.offset - self.source.offset).abs();
+        let (known, exact) = self.settled_known(&pos, &lbt);
+        let mut plb = known;
+        if !exact {
+            let lb = self.ctx.lb;
+            self.rekey(|n, p| Some(lb.node_bound(n, p, &lbt)));
+            plb = plb.min(self.frontier_key().unwrap_or(f64::INFINITY));
         }
-        if let Some(du) = self.dist.get_copied(lbt.eu) {
-            known = known.min(du + lbt.tu);
-        }
-        if let Some(dv) = self.dist.get_copied(lbt.ev) {
-            known = known.min(dv + lbt.tv);
-        }
-        // Re-key: one compaction pass plus an O(|live frontier|) heapify.
-        let lb = self.ctx.lb;
-        self.rebuild_heap(|n, p| Some(lb.node_bound(n, p, &lbt)));
-        let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
+        // An exact target leaves the frontier keyed for an older one; the
+        // next re-key rebuilds from `open`, so nothing pops those keys.
         self.target = Some(Target {
             pos,
             lbt,
             known,
             plb,
+            exact,
         });
+    }
+
+    /// The best path to `pos` known from settled state, and whether it is
+    /// final. Endpoint exactness: every route to a position on edge
+    /// (u, v) goes through u, through v, or along the source's own edge,
+    /// so two settled endpoints make it the network distance.
+    fn settled_known(&self, pos: &NetPosition, lbt: &LbTarget) -> (f64, bool) {
+        let mut known = f64::INFINITY;
+        if pos.edge == self.source.edge {
+            known = (pos.offset - self.source.offset).abs();
+        }
+        let du = self.dist.get_copied(lbt.eu);
+        let dv = self.dist.get_copied(lbt.ev);
+        if let Some(d) = du {
+            known = known.min(d + lbt.tu);
+        }
+        if let Some(d) = dv {
+            known = known.min(d + lbt.tv);
+        }
+        (known, du.is_some() && dv.is_some())
     }
 
     /// The current target position, if any.
@@ -312,18 +358,58 @@ impl<'a> AStar<'a> {
         self.target.as_ref().map(|t| t.pos)
     }
 
-    /// Current key at the top of the frontier heap (skipping stale
-    /// entries), i.e. the cheapest `g + h` of any unsettled node.
+    /// The cheapest `g + h` of any unsettled node.
     fn frontier_key(&mut self) -> Option<f64> {
-        while let Some(Reverse((key, g, n))) = self.heap.peek().copied() {
-            match self.open.get(n) {
-                Some(&(cur, _)) if cur == g.get() => return Some(key.get()),
-                _ => {
-                    self.heap.pop();
-                }
+        self.peek_live().map(|(key, _, _)| key.get())
+    }
+
+    /// `true` while `e` still describes its node: the node is on the
+    /// frontier with `e`'s `g`. A stale entry never becomes live again,
+    /// because `g` only falls and settled nodes never reopen.
+    fn is_live(&self, (_, g, n): Entry) -> bool {
+        matches!(self.open.get(n), Some(&(cur, _)) if cur == g.get())
+    }
+
+    /// The smallest live frontier entry, dropping the stale entries it
+    /// passes. While a lazy re-key is pending, every `keyed` entry is
+    /// larger than every `aside` entry, so the smaller of the first live
+    /// aside entry and the heap's live head is the minimum; once no aside
+    /// entry is live, `keyed` is heapified together with `heap`.
+    fn peek_live(&mut self) -> Option<Entry> {
+        while let Some(&e) = self.aside.last() {
+            if self.is_live(e) {
+                break;
             }
+            self.aside.pop();
         }
-        None
+        if self.aside.is_empty() && !self.keyed.is_empty() {
+            // O(n) heapify, swapping the two allocations for reuse.
+            self.keyed.extend(self.heap.drain());
+            let keyed = std::mem::take(&mut self.keyed);
+            self.keyed = std::mem::replace(&mut self.heap, BinaryHeap::from(keyed)).into_vec();
+        }
+        while let Some(&Reverse(e)) = self.heap.peek() {
+            if self.is_live(e) {
+                break;
+            }
+            self.heap.pop();
+        }
+        match (self.aside.last().copied(), self.heap.peek().map(|r| r.0)) {
+            (Some(a), Some(h)) => Some(a.min(h)),
+            (a, h) => a.or(h),
+        }
+    }
+
+    /// Removes and returns the smallest live frontier entry
+    /// (`peek_live`'s).
+    fn pop_live(&mut self) -> Option<Entry> {
+        let e = self.peek_live()?;
+        if self.aside.last() == Some(&e) {
+            self.aside.pop();
+        } else {
+            self.heap.pop();
+        }
+        Some(e)
     }
 
     /// The path-distance lower bound to the current target. Monotone
@@ -333,7 +419,8 @@ impl<'a> AStar<'a> {
     /// # Panics
     /// Panics when no target is set.
     pub fn plb(&mut self) -> f64 {
-        let frontier = self.frontier_key();
+        let t = self.target.as_ref().expect("plb requires a target");
+        let frontier = if t.exact { None } else { self.frontier_key() };
         let t = self.target.as_mut().expect("plb requires a target");
         let now = t.known.min(frontier.unwrap_or(f64::INFINITY));
         t.plb = t.plb.max(now);
@@ -343,11 +430,14 @@ impl<'a> AStar<'a> {
     /// `true` when the current target's distance is final: no frontier
     /// continuation can beat the best known path.
     pub fn is_resolved(&mut self) -> bool {
-        let frontier = self.frontier_key();
         let t = self.target.as_ref().expect("is_resolved requires a target");
-        match frontier {
+        if t.exact {
+            return true;
+        }
+        let known = t.known;
+        match self.frontier_key() {
             None => true,
-            Some(f) => t.known <= f,
+            Some(f) => known <= f,
         }
     }
 
@@ -376,13 +466,10 @@ impl<'a> AStar<'a> {
                 return false;
             }
         }
-        // Pop the cheapest live frontier node. is_resolved() just cleaned
-        // stale heads, so the top is live.
-        let Some(Reverse((_key, g, n))) = self.heap.pop() else {
+        let Some((_key, g, n)) = self.pop_live() else {
             return false;
         };
         let g = g.get();
-        debug_assert_eq!(self.open.get(n).map(|&(d, _)| d), Some(g));
         // Contract: with a consistent heuristic, popped `f = g + h` values
         // are non-decreasing, which is what makes a popped node's `g` exact
         // and the settled map reusable across retargets (§6.1).
@@ -438,35 +525,46 @@ impl<'a> AStar<'a> {
         }
     }
 
-    /// Re-keys the frontier heap under heuristic `h` (as in `expand`): one
-    /// pass over the keys touched since the last re-key (compaction), then
-    /// an O(|live frontier|) heapify in the heap's own buffer. Pops follow
-    /// the total order on `(key, g, node)`, so results do not depend on
-    /// how the heap was built.
-    fn rebuild_heap(&mut self, h: impl Fn(NodeId, Point) -> Option<f64>) {
+    /// Re-keys the frontier under heuristic `h` (as in `expand`) without
+    /// heapifying it: one pass over the keys touched since the last re-key
+    /// (compaction), then one pass keying each live frontier node, which
+    /// sets the `LAZY_TOP` smallest entries aside, sorted, and leaves the
+    /// rest in `keyed` for `peek_live` to heapify on demand. Pops
+    /// follow the total order on `(key, g, node)`, so results do not
+    /// depend on how the frontier is stored.
+    fn rekey(&mut self, h: impl Fn(NodeId, Point) -> Option<f64>) {
         self.open.compact();
+        self.heap.clear();
+        self.keyed.clear();
+        self.aside.clear();
         #[cfg(feature = "invariant-checks")]
         let mut unkeyed = 0usize;
-        let mut buf = std::mem::take(&mut self.heap).into_vec();
-        buf.clear();
-        buf.extend(self.open.iter().filter_map(|(n, &(g, p))| {
+        for (n, &(g, p)) in self.open.iter() {
             let Some(h) = h(n, p) else {
                 #[cfg(feature = "invariant-checks")]
                 {
                     unkeyed += 1;
                 }
-                return None;
+                continue;
             };
-            Some(Reverse((OrdF64::new(g + h), OrdF64::new(g), n)))
-        }));
-        self.heap = BinaryHeap::from(buf);
+            let e = (OrdF64::new(g + h), OrdF64::new(g), n);
+            if self.aside.len() == LAZY_TOP {
+                if e > self.aside[0] {
+                    self.keyed.push(Reverse(e));
+                    continue;
+                }
+                self.keyed.push(Reverse(self.aside.remove(0)));
+            }
+            let at = self.aside.partition_point(|a| *a > e);
+            self.aside.insert(at, e);
+        }
         // Contract: one entry per live frontier node `h` keyed (all of them
         // for a single target); a stale or duplicated key shows here.
         #[cfg(feature = "invariant-checks")]
         assert_eq!(
-            self.heap.len() + unkeyed,
+            self.keyed.len() + self.aside.len() + unkeyed,
             self.open.len(),
-            "A* re-key heap does not match the live frontier"
+            "A* re-key does not match the live frontier"
         );
     }
 
@@ -525,22 +623,7 @@ impl<'a> AStar<'a> {
             .iter()
             .map(|&pos| {
                 let lbt = LbTarget::of(self.ctx.net, &pos);
-                let mut known = f64::INFINITY;
-                if pos.edge == self.source.edge {
-                    known = (pos.offset - self.source.offset).abs();
-                }
-                let du = self.dist.get_copied(lbt.eu);
-                let dv = self.dist.get_copied(lbt.ev);
-                if let Some(d) = du {
-                    known = known.min(d + lbt.tu);
-                }
-                if let Some(d) = dv {
-                    known = known.min(d + lbt.tv);
-                }
-                // Endpoint exactness: every route to a position on edge
-                // (u, v) goes through u, through v, or along the source's
-                // own edge, so two settled endpoints make `known` final.
-                let resolved = du.is_some() && dv.is_some();
+                let (known, resolved) = self.settled_known(&pos, &lbt);
                 PackTarget {
                     lbt,
                     known,
@@ -553,7 +636,7 @@ impl<'a> AStar<'a> {
         let k = ts.len() as u64;
         if ts.iter().all(|t| t.resolved) {
             // The whole pack is answered from settled state: no re-key,
-            // no expansion, the heap keeps its previous keys. Legacy
+            // no expansion, the frontier keeps its previous keys. Legacy
             // `set_target` would have re-keyed once per destination.
             self.confirms += k;
             self.pack_rekeys_avoided += k;
@@ -600,12 +683,10 @@ impl<'a> AStar<'a> {
                     break;
                 }
             }
-            // frontier_key() cleaned stale heads, so the top is live.
-            let Some(Reverse((_key, g, n))) = self.heap.pop() else {
+            let Some((_key, g, n)) = self.pop_live() else {
                 continue;
             };
             let g = g.get();
-            debug_assert_eq!(self.open.get(n).map(|&(d, _)| d), Some(g));
             // Same contract as the single-target path: keys within a
             // heuristic epoch pop in non-decreasing order, and a re-key
             // only grows keys (the heuristic min ranges over fewer
@@ -659,8 +740,8 @@ impl<'a> AStar<'a> {
         ts.into_iter().map(|t| t.known).collect()
     }
 
-    /// Rebuilds the frontier heap under the pack heuristic, starting a
-    /// fresh epoch over the currently unresolved targets. With
+    /// Re-keys the frontier under the pack heuristic, starting a fresh
+    /// epoch over the currently unresolved targets. With
     /// `seed_known`, endpoint frontier entries also tighten `known`
     /// (tentative `g` values are valid path lengths, hence valid upper
     /// bounds).
@@ -669,7 +750,7 @@ impl<'a> AStar<'a> {
             t.in_epoch = !t.resolved;
         }
         let lb = self.ctx.lb;
-        self.rebuild_heap(|n, p| pack_argmin(lb, ts, n, p).map(|(_, h)| h));
+        self.rekey(|n, p| pack_argmin(lb, ts, n, p).map(|(_, h)| h));
         if seed_known {
             for t in ts.iter_mut() {
                 if t.resolved {
@@ -1019,10 +1100,7 @@ mod tests {
         // frontier empty by resolving each target once first.
         let first = astar.distances_to_pack(&targets);
         // Drain the remaining frontier so every node is settled.
-        while astar.frontier_key().is_some() {
-            let Some(Reverse((_, gk, n))) = astar.heap.pop() else {
-                break;
-            };
+        while let Some((_, gk, n)) = astar.pop_live() {
             astar.expand(n, gk.get(), |_, _| Some(0.0));
         }
         let exp_before = astar.expansions();
@@ -1201,37 +1279,66 @@ mod tests {
         }
     }
 
-    /// Right after a re-key: the `open` key list holds only live nodes,
-    /// and the heap holds one entry per live frontier node (all of them
-    /// for a single target), each carrying the node's current `g`.
+    /// Every frontier entry the engine holds: the aside entries and the
+    /// keyed buffer of a lazy re-key, then the heap.
+    fn frontier_entries(a: &AStar) -> Vec<Entry> {
+        let keyed = a.keyed.iter().map(|r| r.0);
+        let heap = a.heap.iter().map(|r| r.0);
+        a.aside.iter().copied().chain(keyed).chain(heap).collect()
+    }
+
+    /// After a re-key, before its first pop: the `open` key list holds only
+    /// live nodes, and the aside entries, the keyed buffer and the heap
+    /// together hold one entry per live frontier node (all of them for a
+    /// single target), each carrying the node's current `g`.
     fn assert_live_rekey(a: &AStar, single: bool) {
         assert_eq!(
             a.open.key_list_len(),
             a.open.len(),
             "removed keys survived the re-key"
         );
+        let entries = frontier_entries(a);
         if single {
-            assert_eq!(a.heap.len(), a.open.len(), "single-target heap");
+            assert_eq!(entries.len(), a.open.len(), "single-target frontier");
         } else {
-            assert!(a.heap.len() <= a.open.len(), "pack heap");
+            assert!(entries.len() <= a.open.len(), "pack frontier");
         }
         let mut nodes: Vec<NodeId> = Vec::new();
-        for Reverse((_, g, n)) in a.heap.iter() {
+        for (_, g, n) in &entries {
             assert_eq!(
                 a.open.get(*n).map(|&(d, _)| d),
                 Some(g.get()),
-                "heap entry for {n:?} is off the live frontier"
+                "frontier entry for {n:?} is off the live frontier"
             );
             nodes.push(*n);
         }
         nodes.sort_unstable_by_key(|n| n.0);
         nodes.dedup();
-        assert_eq!(nodes.len(), a.heap.len(), "duplicate heap entries");
+        assert_eq!(nodes.len(), entries.len(), "duplicate frontier entries");
+    }
+
+    /// Retargets `a` to `t` and checks the visit at its first pop (before
+    /// it runs): a keyed target passes [`assert_live_rekey`], and an
+    /// endpoint-exact one keyed nothing at all. Returns whether `t` was
+    /// endpoint-exact.
+    fn retarget_and_check(a: &mut AStar, t: NetPosition) -> bool {
+        let (entries, keys) = (frontier_entries(a), a.open.key_list_len());
+        a.set_target(t);
+        // The peek `advance` makes before its first pop.
+        a.is_resolved();
+        let exact = a.target.as_ref().is_some_and(|t| t.exact);
+        if exact {
+            assert_eq!(a.open.key_list_len(), keys, "exact retarget compacted");
+            assert_eq!(frontier_entries(a), entries, "exact retarget keyed");
+        } else {
+            assert_live_rekey(a, true);
+        }
+        exact
     }
 
     #[test]
     fn rekeys_walk_only_the_live_frontier() {
-        let mut saw_removed_keys = false;
+        let (mut saw_removed_keys, mut saw_exact, mut saw_keyed) = (false, false, false);
         for seed in 0..4u64 {
             let g = random_net(90, seed + 700);
             let store = NetworkStore::build(&g);
@@ -1247,15 +1354,15 @@ mod tests {
                 // nodes pile up in `open`'s key list between re-keys.
                 for &t in &targets {
                     saw_removed_keys |= astar.open.key_list_len() > astar.open.len();
-                    astar.set_target(t);
-                    assert_live_rekey(&astar, true);
+                    let exact = retarget_and_check(&mut astar, t);
+                    saw_exact |= exact;
+                    saw_keyed |= !exact;
                     for _ in 0..3 {
                         astar.advance();
                     }
                 }
                 let i = round % targets.len();
-                astar.set_target(targets[i]);
-                assert_live_rekey(&astar, true);
+                saw_exact |= retarget_and_check(&mut astar, targets[i]);
                 let want = dij.distance_to_position(&targets[i]);
                 let got = astar.run();
                 assert!(approx_eq(got, want), "seed {seed}: {got} vs {want}");
@@ -1283,6 +1390,163 @@ mod tests {
             }
         }
         assert!(saw_removed_keys, "the walk never had removed keys to drop");
+        assert!(saw_exact && saw_keyed, "the walk missed a kind of retarget");
+    }
+
+    /// The smallest `(key, g, node)` over `open` under the current
+    /// target's bound, by brute scan.
+    fn brute_min(a: &AStar, lbt: &LbTarget) -> Option<Entry> {
+        a.open
+            .iter()
+            .map(|(n, &(g, p))| {
+                let key = g + a.ctx.lb.node_bound(n, p, lbt);
+                (OrdF64::new(key), OrdF64::new(g), n)
+            })
+            .min()
+    }
+
+    #[test]
+    fn pops_follow_a_brute_frontier_scan() {
+        // Random interleavings of retargets over a small target pool
+        // (revisits make endpoint-exact retargets), a few pops per visit,
+        // plb/is_resolved probes, pack sweeps and rebases: every pop must
+        // settle the minimum live `(key, g, node)` of a brute scan.
+        use crate::oracle::AltOracle;
+        let (mut exact_visits, mut heapified_visits) = (0u32, 0u32);
+        for seed in 0..4u64 {
+            let g = random_net(70, seed + 900);
+            let store = NetworkStore::build(&g);
+            let mid = MiddleLayer::build(&g, &[]);
+            let alt = AltOracle::build(&g, &store, &mid, 6);
+            let euclid_ctx = NetCtx::new(&g, &store, &mid);
+            let alt_ctx = NetCtx::new(&g, &store, &mid).with_bound(&alt);
+            for ctx in [&euclid_ctx, &alt_ctx] {
+                let mut rng = StdRng::seed_from_u64(seed + 17);
+                let pool: Vec<NetPosition> = (0..5).map(|_| rand_pos(&g, &mut rng)).collect();
+                let mut src = rand_pos(&g, &mut rng);
+                let mut dij = Dijkstra::new(ctx, src);
+                let mut astar = AStar::new(ctx, src);
+                for _ in 0..1200 {
+                    match rng.random_range(0..16) {
+                        0 => {
+                            let pack: Vec<NetPosition> = (0..3)
+                                .map(|_| pool[rng.random_range(0..pool.len())])
+                                .collect();
+                            for (t, got) in pack.iter().zip(astar.distances_to_pack(&pack)) {
+                                assert!(approx_eq(got, dij.distance_to_position(t)));
+                            }
+                        }
+                        1 => {
+                            src = rand_pos(&g, &mut rng);
+                            astar.rebase(src);
+                            dij = Dijkstra::new(ctx, src);
+                        }
+                        _ => {}
+                    }
+                    let t = pool[rng.random_range(0..pool.len())];
+                    let want = dij.distance_to_position(&t);
+                    astar.set_target(t);
+                    let (lbt, exact) = astar.target.as_ref().map(|t| (t.lbt, t.exact)).unwrap();
+                    exact_visits += u32::from(exact);
+                    let lazy = !astar.keyed.is_empty();
+                    let mut plb = astar.plb();
+                    assert!(plb <= want + 1e-9, "plb {plb} above distance {want}");
+                    for _ in 0..rng.random_range(0..=6) {
+                        let brute = brute_min(&astar, &lbt);
+                        if !exact {
+                            assert_eq!(astar.peek_live(), brute, "seed {seed}: frontier min");
+                            // A lazy buffer always has a live aside entry
+                            // standing in front of it.
+                            let front = astar.aside.last().is_some_and(|&e| astar.is_live(e));
+                            assert!(front || astar.keyed.is_empty(), "unguarded buffer");
+                        }
+                        let will_pop = !astar.is_resolved();
+                        assert!(!(exact && will_pop), "an exact target must not pop");
+                        let expect = if will_pop { brute } else { None };
+                        let before = astar.expansions();
+                        assert_eq!(astar.advance(), will_pop);
+                        match expect {
+                            Some((_, gk, n)) => {
+                                assert_eq!(astar.expansions(), before + 1);
+                                assert_eq!(
+                                    astar.dist.get_copied(n).map(f64::to_bits),
+                                    Some(gk.get().to_bits()),
+                                    "seed {seed}: popped off the brute-scan minimum"
+                                );
+                            }
+                            None => assert_eq!(astar.expansions(), before),
+                        }
+                        if rng.random_bool(0.5) {
+                            let now = astar.plb();
+                            assert!(now >= plb, "plb regressed within a visit");
+                            assert!(now <= want + 1e-9, "plb {now} above distance {want}");
+                            plb = now;
+                        }
+                    }
+                    heapified_visits += u32::from(lazy && astar.keyed.is_empty());
+                    if astar.is_resolved() {
+                        let got = astar.result();
+                        assert!(approx_eq(got, want), "seed {seed}: {got} vs {want}");
+                    }
+                }
+            }
+        }
+        assert!(exact_visits > 0, "no endpoint-exact retarget exercised");
+        assert!(heapified_visits > 0, "no on-demand heapify exercised");
+    }
+
+    #[test]
+    fn endpoint_exact_retarget_skips_the_rekey() {
+        let g = random_net(80, 41);
+        let store = NetworkStore::build(&g);
+        let mid = MiddleLayer::build(&g, &[]);
+        let ctx = NetCtx::new(&g, &store, &mid);
+        let mut rng = StdRng::seed_from_u64(43);
+        let src = rand_pos(&g, &mut rng);
+        let mut astar = AStar::new(&ctx, src);
+        astar.distance_to(rand_pos(&g, &mut rng));
+        astar.distance_to(rand_pos(&g, &mut rng));
+        let settled = |a: &AStar, e: EdgeId| {
+            let edge = g.edge(e);
+            (a.dist.contains(edge.u), a.dist.contains(edge.v))
+        };
+        let edges = || (0..g.edge_count() as u32).map(EdgeId);
+        let e = edges()
+            .find(|&e| e != src.edge && settled(&astar, e) == (true, true))
+            .expect("an edge with both endpoints settled");
+        let pos = NetPosition::new(e, 0.3 * g.edge(e).length);
+
+        let (exp, rt, keys) = (
+            astar.expansions(),
+            astar.retargets(),
+            astar.open.key_list_len(),
+        );
+        assert!(keys > astar.open.len(), "removed keys await a compaction");
+        astar.set_target(pos);
+        assert_eq!(astar.expansions(), exp);
+        assert_eq!(astar.open.key_list_len(), keys, "`open` was compacted");
+        assert!(astar.is_resolved());
+        assert!(!astar.advance(), "an exact target pops nothing");
+        let (plb, d) = (astar.plb(), astar.result());
+        assert_eq!(plb.to_bits(), d.to_bits());
+        assert_eq!(
+            AStar::new(&ctx, src).distance_to(pos).to_bits(),
+            d.to_bits()
+        );
+        assert_eq!(astar.retargets(), rt + 1);
+        assert_eq!(astar.expansions(), exp);
+
+        // The frontier still holds keys for an older target; a far,
+        // non-exact retarget must re-key rather than pop them.
+        assert!(!frontier_entries(&astar).is_empty(), "no older keys left");
+        let far = edges()
+            .find(|&e| settled(&astar, e) == (false, false))
+            .expect("an edge with no endpoint settled");
+        let far = NetPosition::new(far, 0.5 * g.edge(far).length);
+        astar.set_target(far);
+        let got = astar.run();
+        let want = Dijkstra::new(&ctx, src).distance_to_position(&far);
+        assert!(approx_eq(got, want), "{got} vs {want}");
     }
 
     #[test]
