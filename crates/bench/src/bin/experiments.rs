@@ -41,9 +41,6 @@ fn main() {
     if want("dynamic") {
         rn_bench::dynamic::dynamic_report();
     }
-    if want("dist") {
-        rn_bench::dist::dist_report();
-    }
     if want("obs") || want("observability") {
         rn_bench::observability::observability();
     }

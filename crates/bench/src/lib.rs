@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dist;
 pub mod dynamic;
 pub mod figures;
 pub mod harness;

@@ -1,5 +1,4 @@
-//! Shared report output: one buffered writer and a deterministic JSON
-//! object builder (ISSUE 10, satellite d).
+//! Shared report output: one buffered writer for every `BENCH_*.json`.
 //!
 //! Every `BENCH_*.json` emitter used to open its own file handle with
 //! `std::fs::write`; they now all route through [`write_report`] — a
@@ -8,14 +7,8 @@
 //! or drifts the console messages.
 //!
 //! The renderers themselves stay hand-rolled (the in-tree serde shim
-//! is a no-op facade) and their historical key order is pinned by the
-//! committed reports; new report sections instead build objects with
-//! [`Obj`], whose [`BTreeMap`] storage makes the key order a property
-//! of the keys — deterministic under any insertion order, so a
-//! refactor that reorders the building code can never reorder the
-//! bytes on disk.
+//! is a no-op facade), and the committed reports pin their key order.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 
 /// Writes a finished report through one buffered handle, printing
@@ -36,98 +29,9 @@ fn try_write(path: &str, json: &str) -> std::io::Result<()> {
     out.flush()
 }
 
-/// A flat JSON object with deterministic (sorted) key order.
-///
-/// Values are stored pre-rendered so callers keep full control over
-/// number formatting (`{:.2}` vs integer); the builder owns only
-/// escaping and ordering.
-#[derive(Clone, Debug, Default)]
-pub struct Obj {
-    fields: BTreeMap<String, String>,
-}
-
-impl Obj {
-    /// An empty object.
-    pub fn new() -> Obj {
-        Obj::default()
-    }
-
-    /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: u64) -> Obj {
-        self.fields.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Obj {
-        self.fields.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Adds a string field (escaped).
-    pub fn str(mut self, key: &str, value: &str) -> Obj {
-        self.fields.insert(key.to_string(), escape(value));
-        self
-    }
-
-    /// Adds a pre-rendered value verbatim (caller-formatted floats,
-    /// nested arrays).
-    pub fn raw(mut self, key: &str, value: String) -> Obj {
-        self.fields.insert(key.to_string(), value);
-        self
-    }
-
-    /// Renders as a single-line `{"a": 1, "b": "x"}` — keys ascending,
-    /// whatever order the fields were added in.
-    pub fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_order_is_insertion_independent() {
-        let a = Obj::new().int("zebra", 1).int("apple", 2).str("mid", "x");
-        let b = Obj::new().str("mid", "x").int("apple", 2).int("zebra", 1);
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.render(), "{\"apple\": 2, \"mid\": \"x\", \"zebra\": 1}");
-    }
-
-    #[test]
-    fn values_render_typed() {
-        let o = Obj::new()
-            .bool("ok", true)
-            .raw("pct", format!("{:.2}", 33.333))
-            .str("quote", "a\"b");
-        assert_eq!(
-            o.render(),
-            "{\"ok\": true, \"pct\": 33.33, \"quote\": \"a\\\"b\"}"
-        );
-    }
 
     #[test]
     fn write_report_round_trips() {

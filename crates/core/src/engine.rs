@@ -686,9 +686,8 @@ fn finish_trace(
 /// footprint. The counters are commutative relaxed-atomic sums and every
 /// bound evaluation happens exactly once per (node, target) regardless
 /// of how the work is partitioned, so the delta is worker-count
-/// invariant. `oracle.build.ms` is deliberately absent: build wall time
-/// is registered for the bench reports but never enters a trace
-/// (DESIGN.md §14).
+/// invariant. Build wall time stays out: it is host wall-clock, and
+/// traces are bitwise deterministic (DESIGN.md §14).
 fn harvest_bound(trace: &mut QueryTrace, bound: &dyn LowerBound, before: &LbCounters) {
     let after = bound.counters();
     trace.add(

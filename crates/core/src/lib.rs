@@ -64,7 +64,6 @@ pub mod attrs;
 pub mod batch;
 pub mod brute;
 pub mod ce;
-pub mod dist;
 pub mod dynamic;
 pub mod edc;
 pub mod engine;
@@ -75,10 +74,6 @@ pub mod stats;
 
 pub use attrs::AttrTable;
 pub use batch::{BatchEngine, BatchOutcome};
-pub use dist::{
-    CommStats, DistEngine, DistResult, InProcessBackend, QuerySkeleton, ShardBackend, ShardJob,
-    ShardReport, ShardSummary,
-};
 pub use dynamic::{DynamicConfig, DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
 pub use engine::{
     Algorithm, Completion, Exec, PartialInfo, QueryInput, QueryPlan, SkylineEngine, SkylineResult,

@@ -166,18 +166,23 @@ impl NetworkBuilder {
         Ok(id)
     }
 
+    /// Junction positions of `u` and `v`. A non-finite one is rejected
+    /// here rather than at [`NetworkBuilder::build`], because the edge
+    /// geometry built from it would panic first.
     fn endpoints(&self, u: NodeId, v: NodeId) -> Result<(Point, Point), BuildError> {
-        let pu = self
-            .nodes
-            .get(u.idx())
-            .ok_or(BuildError::UnknownNode(u))?
-            .point;
-        let pv = self
-            .nodes
-            .get(v.idx())
-            .ok_or(BuildError::UnknownNode(v))?
-            .point;
-        Ok((pu, pv))
+        let point = |n: NodeId| {
+            let p = self
+                .nodes
+                .get(n.idx())
+                .ok_or(BuildError::UnknownNode(n))?
+                .point;
+            if p.is_finite() {
+                Ok(p)
+            } else {
+                Err(BuildError::BadCoordinate(n))
+            }
+        };
+        Ok((point(u)?, point(v)?))
     }
 
     fn push_edge(
@@ -350,7 +355,19 @@ mod tests {
     #[test]
     fn rejects_nan_coordinates() {
         let mut b = NetworkBuilder::new();
-        b.add_node(Point::new(f64::NAN, 0.0));
+        let a = b.add_node(Point::new(f64::NAN, 0.0));
+        let c = b.add_node(Point::new(1.0, 0.0));
+        // Every edge kind refuses the bad endpoint before building geometry.
+        assert_eq!(b.add_straight_edge(c, a), Err(BuildError::BadCoordinate(a)));
+        assert_eq!(
+            b.add_weighted_edge(a, c, 2.0),
+            Err(BuildError::BadCoordinate(a))
+        );
+        let geom = Polyline::straight(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
+        assert_eq!(
+            b.add_polyline_edge(a, c, geom),
+            Err(BuildError::BadCoordinate(a))
+        );
         assert!(matches!(b.build(), Err(BuildError::BadCoordinate(_))));
     }
 

@@ -133,10 +133,21 @@ fn node_point(b: &NetworkBuilder, n: NodeId, lineno: usize) -> Result<Point, IoE
     Ok(b.node_point(n))
 }
 
+/// Parses a finite number: `nan`, `inf` and overflowing literals such
+/// as `1e309` are parse errors, never coordinates or lengths.
 fn parse_f64(tok: Option<&str>, lineno: usize, what: &str) -> Result<f64, IoError> {
-    tok.ok_or_else(|| IoError::Parse(lineno, format!("missing {what}")))?
+    let x: f64 = tok
+        .ok_or_else(|| IoError::Parse(lineno, format!("missing {what}")))?
         .parse()
-        .map_err(|e| IoError::Parse(lineno, format!("bad {what}: {e}")))
+        .map_err(|e| IoError::Parse(lineno, format!("bad {what}: {e}")))?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(IoError::Parse(
+            lineno,
+            format!("bad {what}: {x} is not finite"),
+        ))
+    }
 }
 
 fn parse_u32(tok: Option<&str>, lineno: usize, what: &str) -> Result<u32, IoError> {
@@ -256,16 +267,55 @@ e 0 2 p 0 10
         assert_eq!(g.edge_count(), 1);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+    #[test]
+    fn rejects_non_finite_node_before_its_edge() {
+        let src = "n nan 0\nn 1 0\ne 0 1\n";
+        let err = read_network(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Parse(1, _)));
+    }
 
-        /// The parser must never panic — arbitrary bytes produce Ok or a
+    #[test]
+    fn rejects_non_finite_polyline_vertex() {
+        let src = "n 0 0\nn 1 0\ne 0 1 p nan 0\n";
+        let err = read_network(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Parse(3, _)));
+    }
+
+    /// The format's tokens: record and qualifier keywords, small ids
+    /// (which double as coordinates), and numbers, including every
+    /// non-finite spelling `f64::from_str` accepts (`1e309` overflows).
+    const TOKENS: [&str; 13] = [
+        "n", "e", "w", "p", "0", "1", "2", "0.5", "-1", "nan", "inf", "-inf", "1e309",
+    ];
+
+    proptest::proptest! {
+        // Most token lines are rejected early, so it takes many cases
+        // to reach an edge between parsed nodes.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The parser must never panic: lines of a record keyword, two
+        /// numbers and up to three more tokens produce Ok or a
         /// structured error.
         #[test]
-        fn parser_never_panics(input in proptest::string::string_regex(
-            "([newp0-9 .\\-#\n]{0,200})").unwrap()) {
+        fn parser_never_panics(lines in proptest::collection::vec(
+            (0..2usize, 4..13usize, 4..13usize, proptest::collection::vec(0..13usize, 0..4)),
+            1..10)) {
+            let mut input = String::new();
+            for (record, a, b, rest) in &lines {
+                let line: Vec<&str> = [*record, *a, *b]
+                    .iter()
+                    .chain(rest)
+                    .map(|&t| TOKENS[t])
+                    .collect();
+                input.push_str(&line.join(" "));
+                input.push('\n');
+            }
             let _ = read_network(input.as_bytes());
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Round-trip for generated straight-line chain networks.
         #[test]

@@ -20,9 +20,7 @@
 //! * normalisation of arbitrary coordinates into the paper's 1 km x 1 km
 //!   evaluation square ([`normalize`]), and
 //! * connectivity analysis ([`connectivity`]) — experiments always run on a
-//!   single connected component so every distance is finite, and
-//! * Hilbert-order network partitioning ([`partition`]) with per-shard
-//!   boundary-node extraction, feeding the sharded skyline backend.
+//!   single connected component so every distance is finite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +32,7 @@ pub mod hilbert;
 pub mod io;
 pub mod network;
 pub mod normalize;
-pub mod partition;
 
 pub use builder::NetworkBuilder;
 pub use delta::{Update, UpdateBatch};
 pub use network::{Edge, EdgeId, NetPosition, Node, NodeId, ObjectId, RoadNetwork};
-pub use partition::Partition;

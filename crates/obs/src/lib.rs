@@ -117,10 +117,6 @@ pub enum Metric {
     /// Lower-bound oracle: evaluations where the Euclidean bound was
     /// already at least as tight and the oracle added nothing.
     SpLbEuclidFallbacks,
-    /// Oracle preprocessing wall time in milliseconds. Wall-clock taint:
-    /// this metric is *registered* for the bench reports but never
-    /// recorded into a `QueryTrace` — traces stay bitwise deterministic.
-    OracleBuildMs,
     /// Oracle index footprint in bytes (distance tables + block
     /// assignments). Deterministic: a pure function of network + knobs.
     OracleBuildBytes,
@@ -155,31 +151,6 @@ pub enum Metric {
     /// Storage: prefetched frames evicted (or dropped by a pool clear)
     /// before any demand touch — readahead's wasted speculative reads.
     StoragePrefetchWasted,
-    /// Sharded execution: protocol messages exchanged between the
-    /// coordinator and the shards (broadcasts, summaries, polls and
-    /// replies each count as one message). Deterministic: a pure
-    /// function of the query, the partition and the algorithm —
-    /// invariant across worker counts (DESIGN.md §17).
-    DistMsgsSent,
-    /// Sharded execution: total payload bytes of those messages under
-    /// the explicit cost model of DESIGN.md §17.4 (simulated transport;
-    /// no real sockets are involved).
-    DistMsgsBytes,
-    /// Sharded execution: coordinator round trips — one for the query
-    /// broadcast, one for the summary gather, and one per polled shard
-    /// in the sequential merge.
-    DistRounds,
-    /// Sharded execution: local skyline candidates produced across all
-    /// shards before the merge protocol filters them.
-    DistCandidatesLocal,
-    /// Sharded execution: candidates actually shipped to the
-    /// coordinator after shard-side filtering — the communication the
-    /// per-shard skylines paid for.
-    DistCandidatesSent,
-    /// Sharded execution: shards never polled because their summary's
-    /// lower band was strictly dominated by an already-merged exact
-    /// vector (their entire candidate set is provably dominated).
-    DistShardsPruned,
 }
 
 /// String table for [`Metric`], indexed by discriminant.
@@ -218,7 +189,6 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
     "storage.io.backoff_us",
     "sp.lb.oracle_hits",
     "sp.lb.euclid_fallbacks",
-    "oracle.build.ms",
     "oracle.build.bytes",
     "lbc.plb.oracle_discards",
     "dyn.updates.applied",
@@ -229,18 +199,12 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
     "storage.prefetch.issued",
     "storage.prefetch.hits",
     "storage.prefetch.wasted",
-    "dist.msgs.sent",
-    "dist.msgs.bytes",
-    "dist.msgs.rounds",
-    "dist.candidates.local",
-    "dist.candidates.sent",
-    "dist.shards.pruned",
     // metric-names:end
 ];
 
 impl Metric {
     /// Number of registered metrics.
-    pub const COUNT: usize = 46;
+    pub const COUNT: usize = 39;
 
     /// Every metric, in export order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -273,7 +237,6 @@ impl Metric {
         Metric::StorageIoBackoffUs,
         Metric::SpLbOracleHits,
         Metric::SpLbEuclidFallbacks,
-        Metric::OracleBuildMs,
         Metric::OracleBuildBytes,
         Metric::LbcPlbOracleDiscards,
         Metric::DynUpdatesApplied,
@@ -284,12 +247,6 @@ impl Metric {
         Metric::StoragePrefetchIssued,
         Metric::StoragePrefetchHits,
         Metric::StoragePrefetchWasted,
-        Metric::DistMsgsSent,
-        Metric::DistMsgsBytes,
-        Metric::DistRounds,
-        Metric::DistCandidatesLocal,
-        Metric::DistCandidatesSent,
-        Metric::DistShardsPruned,
     ];
 
     /// The registered dotted name of this metric.
@@ -399,30 +356,6 @@ pub enum Event {
         /// Skyline size |S|.
         skyline: u64,
     },
-    /// Sharded execution: a coordinator round trip completed (query
-    /// broadcast, summary gather, or one shard poll of the merge loop).
-    DistRound {
-        /// 1-based round index within the query's protocol run.
-        round: u64,
-        /// Messages exchanged during this round.
-        msgs: u64,
-        /// Payload bytes of those messages (DESIGN.md §17.4 cost model).
-        bytes: u64,
-    },
-    /// Sharded execution: one shard's contribution to the merge —
-    /// recorded in shard order, so the event stream pins the protocol's
-    /// candidate flow.
-    DistShardReply {
-        /// Shard index.
-        shard: u64,
-        /// Local skyline candidates the shard computed.
-        local: u64,
-        /// Candidates shipped after shard-side filtering (0 when the
-        /// shard was pruned without being polled).
-        sent: u64,
-        /// 1 when the shard was skipped via its summary's lower band.
-        pruned: u64,
-    },
 }
 
 impl Event {
@@ -475,23 +408,6 @@ impl Event {
             }
             Event::QueryEnd { skyline } => {
                 let _ = write!(out, r#"{{"type":"query_end","skyline":{skyline}}}"#);
-            }
-            Event::DistRound { round, msgs, bytes } => {
-                let _ = write!(
-                    out,
-                    r#"{{"type":"dist_round","round":{round},"msgs":{msgs},"bytes":{bytes}}}"#
-                );
-            }
-            Event::DistShardReply {
-                shard,
-                local,
-                sent,
-                pruned,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"type":"dist_shard_reply","shard":{shard},"local":{local},"sent":{sent},"pruned":{pruned}}}"#
-                );
             }
         }
     }

@@ -79,24 +79,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every element of a shared slice across `workers`
-/// scoped threads, returning the results **in item order**.
-///
-/// The read-only sibling of [`par_map_mut`], built on
-/// [`par_map_indexed`]'s dynamic index claiming: items are borrowed
-/// immutably, so jobs that carry references (like the sharded skyline
-/// backend's per-shard jobs) fan out without cloning. The same
-/// determinism contract applies — a pure `f` yields byte-identical
-/// results at every worker count.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed(items.len(), workers, |i| f(i, &items[i]))
-}
-
 /// Applies `f` to every index in `0..count` across `workers` scoped
 /// threads, returning the results **in index order**.
 ///
@@ -240,21 +222,6 @@ mod tests {
         assert!(par_map_mut(&mut empty, 4, |_, v| *v).is_empty());
         let mut one = vec![7u32];
         assert_eq!(par_map_mut(&mut one, 4, |_, v| *v * 2), vec![14]);
-    }
-
-    #[test]
-    fn par_map_borrows_without_cloning_and_keeps_order() {
-        let items: Vec<String> = (0..23).map(|i| format!("item-{i}")).collect();
-        let seq: Vec<usize> = items.iter().map(|s| s.len()).collect();
-        for workers in [1, 2, 4, 8] {
-            assert_eq!(
-                par_map(&items, workers, |_, s| s.len()),
-                seq,
-                "workers={workers}"
-            );
-        }
-        let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, 4, |_, v| *v).is_empty());
     }
 
     #[test]

@@ -152,37 +152,6 @@ fn dynamic_maintenance_matches_golden_trace() {
     );
 }
 
-/// Sharded-execution snapshot (ISSUE 10): the fixed fixture cut into
-/// k=4 Hilbert shards, run distributed with LBC. The exported counters
-/// pin the whole protocol — message count, modeled bytes, rounds,
-/// candidate flow and shard prunes — and the equivalence suite proves
-/// they are worker-count-invariant, so one snapshot covers every
-/// backend width.
-#[test]
-fn dist_matches_golden_trace() {
-    let (engine, queries) = fixture();
-    let dist = msq_core::DistEngine::new(&engine, 4);
-    let r = dist.run_local(Algorithm::Lbc, &queries, 2);
-
-    // -- Snapshot: the feature-stable counter export ----------------------
-    assert_matches_golden("dist", &r.trace.counters_json());
-
-    // -- Cross-checks: counters vs the comm stats and the oracle ----------
-    let brute = engine.run_cold(Algorithm::Brute, &queries);
-    assert_eq!(r.ids(), brute.ids(), "dist: skyline diverged from oracle");
-    assert_eq!(r.trace.get(Metric::DistMsgsSent), r.comm.msgs);
-    assert_eq!(r.trace.get(Metric::DistMsgsBytes), r.comm.bytes);
-    assert_eq!(r.trace.get(Metric::DistRounds), r.comm.rounds);
-    assert!(
-        r.comm.msgs >= 2 * 4,
-        "dist: k=4 pays at least broadcast + summary per shard"
-    );
-    assert!(
-        r.comm.candidates_sent <= r.comm.candidates_local,
-        "dist: coordinator-ward candidate flow can only shrink"
-    );
-}
-
 #[test]
 fn phase_counters_are_algorithm_specific() {
     // Beyond the snapshots: each algorithm populates its own phase
