@@ -11,14 +11,15 @@
 //! optimisation — and the cost deltas are reported per algorithm:
 //!
 //! * **expansions** — nodes settled across all wavefronts. Bounded by
-//!   `single + retargets` (a deferred pack re-key wastes at most one
+//!   `single + retargets` (a deferred epoch change wastes at most one
 //!   steered-dead pop), so this column moves little in either direction.
-//! * **retargets** — `set_target` calls plus pack re-keys. A re-key is
-//!   one compaction pass over the frontier keys touched since the last
-//!   re-key plus an O(|live frontier|) keying pass; an endpoint-exact
-//!   `set_target` does neither. This is where packs win: k single-target
-//!   resolutions pay k retargets, a pack pays one re-key plus one per
-//!   steered-dead pop.
+//! * **retargets** — `set_target` calls, pack re-keys and pack epoch
+//!   changes. A re-key is one compaction pass over the frontier keys
+//!   touched since the last re-key plus an O(|live frontier|) keying
+//!   pass; an endpoint-exact `set_target` does neither, and an epoch
+//!   change re-keys only the entries that reach the front. This is where
+//!   packs win: k single-target resolutions pay k retargets, a pack pays
+//!   one re-key plus one epoch change per steered-dead pop.
 //! * **page faults** (cold/warm) and **wall / response time**.
 //!
 //! Counters are deterministic (DESIGN.md §10), so the counter columns of

@@ -57,8 +57,8 @@ impl Algorithm {
 pub enum SweepMode {
     /// Multi-target pack sweeps ([`rn_sp::AStar::distances_to_pack`]):
     /// one wavefront expansion amortised across every open destination of
-    /// the batch, re-keying the frontier heap only when a resolved target
-    /// stops steering it usefully.
+    /// the batch, shrinking the heuristic to the unresolved targets only
+    /// when a resolved one stops steering it usefully.
     #[default]
     Batched,
     /// The pre-pack behaviour — one `set_target` re-key plus a full

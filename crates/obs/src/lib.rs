@@ -92,7 +92,8 @@ pub enum Metric {
     SpAstarPackTargets,
     /// A\*: frontier heap re-keys pack sweeps saved versus single-target
     /// resolution, which pays one `set_target`-sized re-key per
-    /// destination (pack re-keys spent are counted in `SpAstarRetargets`).
+    /// destination (pack re-keys and epoch changes spent are counted in
+    /// `SpAstarRetargets`).
     SpAstarPackRekeysAvoided,
     /// 1 when the query stopped before completing (budget exhausted or
     /// cancelled); 0 for a complete run. Additive across trace merges:

@@ -21,7 +21,10 @@
 //! target whose edge endpoints are both settled is exact at once and keys
 //! nothing; any other retarget re-keys the live frontier under the new
 //! heuristic *lazily*: it sets the few smallest keys aside and heapifies
-//! the rest only once those are used up (DESIGN.md §11.6).
+//! the rest only once those are used up (DESIGN.md §11.6). Inside a pack
+//! sweep a mid-sweep retarget walks nothing at all: it shrinks the
+//! heuristic epoch, and an entry is re-keyed only if it reaches the front
+//! keyed by a target that left the epoch (DESIGN.md §11.7).
 //!
 //! The heuristic itself is pluggable: every evaluation goes through the
 //! context's [`LowerBound`] seam ([`NetCtx::lb`]). The default Euclidean
@@ -39,9 +42,12 @@ use rn_storage::AdjRecord;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A frontier entry `(g + h, g, node)`. Entries pop in the total order on
-/// the triple, however they are stored.
-type Entry = (OrdF64, OrdF64, NodeId);
+/// A frontier entry `(g + h, g, node, minimizer)`, where `minimizer` is
+/// the pack target whose bound gave `h` (the private `pack_argmin`
+/// winner), or 0 for a single target. Entries pop in the total order on
+/// `(g + h, g, node)`, however they are stored: a node has at most one
+/// live entry, so the minimizer never decides an order.
+type Entry = (OrdF64, OrdF64, NodeId, u32);
 
 /// How many of a re-key's smallest entries are set aside sorted, so that a
 /// visit popping at most that many nodes never heapifies the rest.
@@ -74,26 +80,23 @@ struct PackTarget {
     /// once `resolved`.
     known: f64,
     /// Whether this target is part of the current *heuristic epoch*: the
-    /// target set the live heap keys were computed over. A resolved
-    /// target stays in the epoch (its bound keeps contributing to the
-    /// pushed `h`, which is still a min of consistent heuristics, hence
-    /// consistent — settling stays exact) until a popped node turns out
-    /// to have been steered by a resolved target; only then is the heap
-    /// re-keyed and the epoch shrunk to the unresolved targets.
+    /// target set new heap keys are computed over. A resolved target
+    /// stays in the epoch (its bound keeps contributing to the pushed `h`,
+    /// which is still a min of consistent heuristics, hence consistent —
+    /// settling stays exact) until a popped node turns out to have been
+    /// steered by a resolved target; only then does the epoch shrink to
+    /// the unresolved targets. Nothing is re-keyed then: an entry whose
+    /// minimizer left the epoch is re-keyed when it reaches the front.
     in_epoch: bool,
     resolved: bool,
 }
 
-/// Epoch target whose lower bound from node `n` (at point `p`) is
-/// smallest, with that bound — the minimizer defining the pack heuristic
-/// `h(n)` for new heap keys. A min of consistent bounds is consistent.
-/// Ties break to the lowest index; `None` when the epoch is empty.
-fn pack_argmin(
-    lb: &dyn LowerBound,
-    ts: &[PackTarget],
-    n: NodeId,
-    p: Point,
-) -> Option<(usize, f64)> {
+/// The smallest lower bound from node `n` (at point `p`) to an epoch
+/// target, with that target's index — the pack heuristic `h(n)` for new
+/// heap keys and its minimizer. A min of consistent bounds is consistent.
+/// Ties break to the lowest index; `None` when the epoch is empty or
+/// every bound is infinite.
+fn pack_argmin(lb: &dyn LowerBound, ts: &[PackTarget], n: NodeId, p: Point) -> Option<(f64, u32)> {
     let mut h = f64::INFINITY;
     let mut arg = None;
     for (j, t) in ts.iter().enumerate() {
@@ -103,7 +106,7 @@ fn pack_argmin(
         let d = lb.node_bound(n, p, &t.lbt);
         if d < h {
             h = d;
-            arg = Some((j, d));
+            arg = Some((d, j as u32));
         }
     }
     arg
@@ -119,8 +122,8 @@ pub struct AStarStats {
     pub expansions: u64,
     /// Exact distances read ([`AStar::confirms`]).
     pub confirms: u64,
-    /// Retargets: `set_target` calls plus pack re-keys
-    /// ([`AStar::retargets`]).
+    /// Retargets: `set_target` calls, pack-open re-keys and mid-sweep
+    /// epoch changes ([`AStar::retargets`]).
     pub retargets: u64,
     /// Pack sweeps opened ([`AStar::pack_sweeps`]).
     pub pack_sweeps: u64,
@@ -170,8 +173,8 @@ pub struct AStar<'a> {
     confirms: u64,
     /// Retargets since the last rebase: one per [`AStar::set_target`]
     /// call (an endpoint-exact one keys nothing), one per pack-open
-    /// re-key, one per mid-sweep re-key forced by a confirmed heuristic
-    /// minimizer.
+    /// re-key, one per mid-sweep epoch change forced by a steered-dead
+    /// pop (which keys nothing).
     retargets: u64,
     /// Pack sweeps opened via [`AStar::distances_to_pack`].
     pack_sweeps: u64,
@@ -265,9 +268,9 @@ impl<'a> AStar<'a> {
         self.confirms
     }
 
-    /// Retargets so far: [`AStar::set_target`] calls plus pack-open and
-    /// forced mid-sweep re-keys. An endpoint-exact `set_target` counts
-    /// here but does no heap work.
+    /// Retargets so far: [`AStar::set_target`] calls, pack-open re-keys
+    /// and mid-sweep epoch changes. An endpoint-exact `set_target` and an
+    /// epoch change count here but walk no frontier.
     pub fn retargets(&self) -> u64 {
         self.retargets
     }
@@ -319,7 +322,7 @@ impl<'a> AStar<'a> {
         let mut plb = known;
         if !exact {
             let lb = self.ctx.lb;
-            self.rekey(|n, p| Some(lb.node_bound(n, p, &lbt)));
+            self.rekey(|n, p| Some((lb.node_bound(n, p, &lbt), 0)));
             plb = plb.min(self.frontier_key().unwrap_or(f64::INFINITY));
         }
         // An exact target leaves the frontier keyed for an older one; the
@@ -360,13 +363,13 @@ impl<'a> AStar<'a> {
 
     /// The cheapest `g + h` of any unsettled node.
     fn frontier_key(&mut self) -> Option<f64> {
-        self.peek_live().map(|(key, _, _)| key.get())
+        self.peek_live().map(|(key, ..)| key.get())
     }
 
     /// `true` while `e` still describes its node: the node is on the
     /// frontier with `e`'s `g`. A stale entry never becomes live again,
     /// because `g` only falls and settled nodes never reopen.
-    fn is_live(&self, (_, g, n): Entry) -> bool {
+    fn is_live(&self, (_, g, n, _): Entry) -> bool {
         matches!(self.open.get(n), Some(&(cur, _)) if cur == g.get())
     }
 
@@ -466,7 +469,7 @@ impl<'a> AStar<'a> {
                 return false;
             }
         }
-        let Some((_key, g, n)) = self.pop_live() else {
+        let Some((_key, g, n, _)) = self.pop_live() else {
             return false;
         };
         let g = g.get();
@@ -493,14 +496,15 @@ impl<'a> AStar<'a> {
             t.known = t.known.min(g + t.lbt.tv);
         }
         let (lb, lbt) = (self.ctx.lb, t.lbt);
-        self.expand(n, g, |m, p| Some(lb.node_bound(m, p, &lbt)));
+        self.expand(n, g, |m, p| Some((lb.node_bound(m, p, &lbt), 0)));
         true
     }
 
     /// Settles frontier node `n` at its exact distance `g` and relaxes its
     /// out-edges (one counted page access), keying each improved frontier
-    /// entry `g' + h(node, point)`; `h` returning `None` leaves it unkeyed.
-    fn expand(&mut self, n: NodeId, g: f64, h: impl Fn(NodeId, Point) -> Option<f64>) {
+    /// entry `g' + h` with the minimizer `h(node, point)` names; `h`
+    /// returning `None` leaves it unkeyed.
+    fn expand(&mut self, n: NodeId, g: f64, h: impl Fn(NodeId, Point) -> Option<(f64, u32)>) {
         self.open.remove(n);
         self.dist.insert(n, g);
         self.expansions += 1;
@@ -517,9 +521,9 @@ impl<'a> AStar<'a> {
             };
             if better {
                 self.open.insert(ent.node, (ng, ent.point));
-                if let Some(h) = h(ent.node, ent.point) {
+                if let Some((h, j)) = h(ent.node, ent.point) {
                     self.heap
-                        .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
+                        .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node, j)));
                 }
             }
         }
@@ -532,7 +536,7 @@ impl<'a> AStar<'a> {
     /// rest in `keyed` for `peek_live` to heapify on demand. Pops
     /// follow the total order on `(key, g, node)`, so results do not
     /// depend on how the frontier is stored.
-    fn rekey(&mut self, h: impl Fn(NodeId, Point) -> Option<f64>) {
+    fn rekey(&mut self, h: impl Fn(NodeId, Point) -> Option<(f64, u32)>) {
         self.open.compact();
         self.heap.clear();
         self.keyed.clear();
@@ -540,14 +544,14 @@ impl<'a> AStar<'a> {
         #[cfg(feature = "invariant-checks")]
         let mut unkeyed = 0usize;
         for (n, &(g, p)) in self.open.iter() {
-            let Some(h) = h(n, p) else {
+            let Some((h, j)) = h(n, p) else {
                 #[cfg(feature = "invariant-checks")]
                 {
                     unkeyed += 1;
                 }
                 continue;
             };
-            let e = (OrdF64::new(g + h), OrdF64::new(g), n);
+            let e = (OrdF64::new(g + h), OrdF64::new(g), n, j);
             if self.aside.len() == LAZY_TOP {
                 if e > self.aside[0] {
                     self.keyed.push(Reverse(e));
@@ -587,11 +591,14 @@ impl<'a> AStar<'a> {
     /// a min of consistent heuristics is consistent, so settled `g`
     /// values stay exact and the settled map remains reusable. Where k
     /// single-target resolutions pay k frontier re-keys, a pack pays one
-    /// re-key up front and re-keys mid-sweep only when a popped node was
-    /// steered by an already-resolved target (tracked by the private
-    /// `PackTarget::in_epoch` flag); targets whose edge endpoints are both
-    /// already settled confirm instantly with zero expansions and zero
-    /// re-keys.
+    /// re-key up front. When a popped node was steered by an
+    /// already-resolved target, the sweep retargets by shrinking the
+    /// heuristic epoch (the private `PackTarget::in_epoch` flag) instead
+    /// of walking the frontier: an entry keyed by a target that left the
+    /// epoch is re-keyed only when it reaches the front, and the sweep
+    /// pops exactly the entries an eager re-key would (DESIGN.md §11.7).
+    /// Targets whose edge endpoints are both already settled confirm
+    /// instantly with zero expansions and zero re-keys.
     ///
     /// Any current single-target state is abandoned ([`AStar::target`]
     /// returns `None` afterwards); the settled map, frontier and all
@@ -619,7 +626,49 @@ impl<'a> AStar<'a> {
         self.pack_targets += positions.len() as u64;
         self.target = None;
 
-        let mut ts: Vec<PackTarget> = positions
+        let mut ts = self.pack_of(positions);
+        let retargets = self.retargets;
+        // A pack answered wholly from settled state skips the sweep: no
+        // re-key, no expansion, the frontier keeps its previous keys.
+        if ts.iter().any(|t| !t.resolved) {
+            // One shared re-key for the whole pack, where k single-target
+            // resolutions would pay k.
+            self.retargets += 1;
+            self.rekey_pack(&mut ts);
+            #[cfg(feature = "invariant-checks")]
+            let mut last_popped = 0.0f64;
+            while let Some((_key, ..)) = self.pack_step(&mut ts) {
+                // Same contract as the single-target path: keys within a
+                // heuristic epoch pop in non-decreasing order, and an
+                // epoch change only grows keys (the heuristic min ranges
+                // over fewer targets), so popped keys are monotone across
+                // the sweep.
+                #[cfg(feature = "invariant-checks")]
+                {
+                    assert!(
+                        _key.get() + rn_geom::EPSILON >= last_popped,
+                        "pack heap-pop monotonicity violated: popped key {} < previous {}",
+                        _key.get(),
+                        last_popped
+                    );
+                    last_popped = last_popped.max(_key.get());
+                }
+            }
+        }
+
+        let k = ts.len() as u64;
+        self.confirms += k;
+        // Legacy single-target resolution pays one `set_target` re-key
+        // per destination; whatever the sweep did not spend is saved.
+        self.pack_rekeys_avoided += k.saturating_sub(self.retargets - retargets);
+        ts.into_iter().map(|t| t.known).collect()
+    }
+
+    /// The pack's per-target state, each target seeded from settled state
+    /// and resolved at once when both its edge endpoints are settled. The
+    /// epoch is every unresolved target.
+    fn pack_of(&self, positions: &[NetPosition]) -> Vec<PackTarget> {
+        positions
             .iter()
             .map(|&pos| {
                 let lbt = LbTarget::of(self.ctx.net, &pos);
@@ -631,137 +680,117 @@ impl<'a> AStar<'a> {
                     resolved,
                 }
             })
-            .collect();
-
-        let k = ts.len() as u64;
-        if ts.iter().all(|t| t.resolved) {
-            // The whole pack is answered from settled state: no re-key,
-            // no expansion, the frontier keeps its previous keys. Legacy
-            // `set_target` would have re-keyed once per destination.
-            self.confirms += k;
-            self.pack_rekeys_avoided += k;
-            return ts.into_iter().map(|t| t.known).collect();
-        }
-
-        // One shared re-key for the whole pack, where k single-target
-        // resolutions would pay k. Frontier `g` values are valid path
-        // lengths, so endpoint entries also seed `known` upper bounds.
-        let mut rekeys = 1u64;
-        self.retargets += 1;
-        self.rekey_pack(&mut ts, true);
-
-        #[cfg(feature = "invariant-checks")]
-        let mut last_popped = 0.0f64;
-        loop {
-            let fmin = self.frontier_key();
-            for t in ts.iter_mut() {
-                if t.resolved {
-                    continue;
-                }
-                // `fmin` under the epoch heuristic lower-bounds every
-                // frontier continuation to every pack target (the epoch
-                // min ranges over a superset), so `known <= fmin` proves
-                // exactness; so do two settled target-edge endpoints.
-                let exact = self.dist.contains(t.lbt.eu) && self.dist.contains(t.lbt.ev);
-                let done = exact
-                    || match fmin {
-                        None => true,
-                        Some(f) => t.known <= f,
-                    };
-                if done {
-                    t.resolved = true;
-                }
-            }
-            if ts.iter().all(|t| t.resolved) {
-                break;
-            }
-            // Budget check once per sweep pop. On a trip, unresolved
-            // targets keep `known` as an upper bound (possibly infinite);
-            // callers must consult the guard before trusting the vector.
-            if let Some(guard) = self.ctx.guard {
-                if !guard.tick_expansion(self.ctx.store.stats().faults()) {
-                    break;
-                }
-            }
-            let Some((_key, g, n)) = self.pop_live() else {
-                continue;
-            };
-            let g = g.get();
-            // Same contract as the single-target path: keys within a
-            // heuristic epoch pop in non-decreasing order, and a re-key
-            // only grows keys (the heuristic min ranges over fewer
-            // targets), so popped keys are monotone across the sweep.
-            #[cfg(feature = "invariant-checks")]
-            {
-                assert!(
-                    _key.get() + rn_geom::EPSILON >= last_popped,
-                    "pack heap-pop monotonicity violated: popped key {} < previous {}",
-                    _key.get(),
-                    last_popped
-                );
-                last_popped = last_popped.max(_key.get());
-            }
-            // Was this pop steered by a target that has since resolved?
-            // Settling it is still exact (epoch keys are homogeneous),
-            // but the wavefront is now wasting expansions on a dead
-            // destination — tighten the heuristic after this settle.
-            let steered_dead = self
-                .open
-                .get(n)
-                .and_then(|&(_, p)| pack_argmin(self.ctx.lb, &ts, n, p))
-                .is_some_and(|(j, _)| ts[j].resolved);
-
-            for t in ts.iter_mut() {
-                if t.resolved {
-                    continue;
-                }
-                if n == t.lbt.eu {
-                    t.known = t.known.min(g + t.lbt.tu);
-                }
-                if n == t.lbt.ev {
-                    t.known = t.known.min(g + t.lbt.tv);
-                }
-            }
-
-            let lb = self.ctx.lb;
-            self.expand(n, g, |m, p| pack_argmin(lb, &ts, m, p).map(|(_, h)| h));
-
-            if steered_dead {
-                rekeys += 1;
-                self.retargets += 1;
-                self.rekey_pack(&mut ts, false);
-            }
-        }
-
-        self.confirms += k;
-        // Legacy single-target resolution pays one `set_target` re-key
-        // per destination; whatever the sweep did not spend is saved.
-        self.pack_rekeys_avoided += k.saturating_sub(rekeys);
-        ts.into_iter().map(|t| t.known).collect()
+            .collect()
     }
 
-    /// Re-keys the frontier under the pack heuristic, starting a fresh
-    /// epoch over the currently unresolved targets. With
-    /// `seed_known`, endpoint frontier entries also tighten `known`
-    /// (tentative `g` values are valid path lengths, hence valid upper
-    /// bounds).
-    fn rekey_pack(&mut self, ts: &mut [PackTarget], seed_known: bool) {
+    /// One step of a pack sweep: marks the targets the frontier now
+    /// proves resolved, then settles the front entry. Returns the settled
+    /// entry, or `None` once every target is resolved or the budget
+    /// trips.
+    fn pack_step(&mut self, ts: &mut [PackTarget]) -> Option<Entry> {
+        let fmin = self.pack_front(ts).map(|(key, ..)| key.get());
         for t in ts.iter_mut() {
-            t.in_epoch = !t.resolved;
+            if t.resolved {
+                continue;
+            }
+            // `fmin` under the epoch heuristic lower-bounds every frontier
+            // continuation to every pack target (the epoch min ranges
+            // over a superset), so `known <= fmin` proves exactness; so do
+            // two settled target-edge endpoints.
+            let exact = self.dist.contains(t.lbt.eu) && self.dist.contains(t.lbt.ev);
+            t.resolved = exact
+                || match fmin {
+                    None => true,
+                    Some(f) => t.known <= f,
+                };
         }
+        if ts.iter().all(|t| t.resolved) {
+            return None;
+        }
+        // Budget check once per sweep pop. On a trip, unresolved targets
+        // keep `known` as an upper bound (possibly infinite); callers must
+        // consult the guard before trusting the vector.
+        if let Some(guard) = self.ctx.guard {
+            if !guard.tick_expansion(self.ctx.store.stats().faults()) {
+                return None;
+            }
+        }
+        // `pack_front` made the front current, so its minimizer is the
+        // epoch minimizer at `n`.
+        let e @ (_, g, n, j) = self.pop_live()?;
+        #[cfg(feature = "invariant-checks")]
+        assert!(ts[j as usize].in_epoch, "pack pop keyed off the epoch");
+        let g = g.get();
+        // Was this pop steered by a target that has since resolved?
+        // Settling it is still exact (epoch keys are homogeneous), but the
+        // wavefront is now wasting expansions on a dead destination —
+        // shrink the epoch after this settle.
+        let steered_dead = ts[j as usize].resolved;
+
+        for t in ts.iter_mut() {
+            if t.resolved {
+                continue;
+            }
+            if n == t.lbt.eu {
+                t.known = t.known.min(g + t.lbt.tu);
+            }
+            if n == t.lbt.ev {
+                t.known = t.known.min(g + t.lbt.tv);
+            }
+        }
+
         let lb = self.ctx.lb;
-        self.rekey(|n, p| pack_argmin(lb, ts, n, p).map(|(_, h)| h));
-        if seed_known {
+        self.expand(n, g, |m, p| pack_argmin(lb, ts, m, p));
+
+        if steered_dead {
+            // A new epoch over the unresolved targets. It walks nothing:
+            // `pack_front` re-keys entries as they reach the front.
+            self.retargets += 1;
             for t in ts.iter_mut() {
-                if t.resolved {
-                    continue;
+                t.in_epoch = !t.resolved;
+            }
+        }
+        Some(e)
+    }
+
+    /// The smallest live frontier entry under the current epoch. An entry
+    /// whose minimizer is still in the epoch keeps its key: a min over a
+    /// subset that still holds the minimizer is the same value, with the
+    /// same lowest-index tie-break. An entry whose minimizer left the
+    /// epoch has a key no larger than its current one; it is popped,
+    /// re-keyed and pushed back until the front entry is current, which
+    /// is then the entry an eager re-key of the whole frontier would pop.
+    fn pack_front(&mut self, ts: &[PackTarget]) -> Option<Entry> {
+        loop {
+            let e @ (_, g, n, j) = self.peek_live()?;
+            if ts[j as usize].in_epoch {
+                return Some(e);
+            }
+            self.pop_live();
+            if let Some(&(_, p)) = self.open.get(n) {
+                if let Some((h, j)) = pack_argmin(self.ctx.lb, ts, n, p) {
+                    self.heap.push(Reverse((OrdF64::new(g.get() + h), g, n, j)));
                 }
-                if let Some(&(g, _)) = self.open.get(t.lbt.eu) {
-                    t.known = t.known.min(g + t.lbt.tu);
-                }
-                if let Some(&(g, _)) = self.open.get(t.lbt.ev) {
-                    t.known = t.known.min(g + t.lbt.tv);
-                }
+            }
+        }
+    }
+
+    /// Re-keys the frontier under the pack heuristic for a newly opened
+    /// pack, whose epoch is every target `pack_of` left unresolved.
+    /// Endpoint frontier entries also tighten `known` (tentative `g`
+    /// values are valid path lengths, hence valid upper bounds).
+    fn rekey_pack(&mut self, ts: &mut [PackTarget]) {
+        let lb = self.ctx.lb;
+        self.rekey(|n, p| pack_argmin(lb, ts, n, p));
+        for t in ts.iter_mut() {
+            if t.resolved {
+                continue;
+            }
+            if let Some(&(g, _)) = self.open.get(t.lbt.eu) {
+                t.known = t.known.min(g + t.lbt.tu);
+            }
+            if let Some(&(g, _)) = self.open.get(t.lbt.ev) {
+                t.known = t.known.min(g + t.lbt.tv);
             }
         }
     }
@@ -1100,8 +1129,8 @@ mod tests {
         // frontier empty by resolving each target once first.
         let first = astar.distances_to_pack(&targets);
         // Drain the remaining frontier so every node is settled.
-        while let Some((_, gk, n)) = astar.pop_live() {
-            astar.expand(n, gk.get(), |_, _| Some(0.0));
+        while let Some((_, gk, n, _)) = astar.pop_live() {
+            astar.expand(n, gk.get(), |_, _| Some((0.0, 0)));
         }
         let exp_before = astar.expansions();
         let rt_before = astar.retargets();
@@ -1304,7 +1333,7 @@ mod tests {
             assert!(entries.len() <= a.open.len(), "pack frontier");
         }
         let mut nodes: Vec<NodeId> = Vec::new();
-        for (_, g, n) in &entries {
+        for (_, g, n, _) in &entries {
             assert_eq!(
                 a.open.get(*n).map(|&(d, _)| d),
                 Some(g.get()),
@@ -1378,7 +1407,7 @@ mod tests {
                     })
                     .collect();
                 saw_removed_keys |= astar.open.key_list_len() > astar.open.len();
-                astar.rekey_pack(&mut ts, false);
+                astar.rekey_pack(&mut ts);
                 assert_live_rekey(&astar, false);
                 for (j, got) in astar.distances_to_pack(&pack).into_iter().enumerate() {
                     let want = dij.distance_to_position(&pack[j]);
@@ -1400,7 +1429,7 @@ mod tests {
             .iter()
             .map(|(n, &(g, p))| {
                 let key = g + a.ctx.lb.node_bound(n, p, lbt);
-                (OrdF64::new(key), OrdF64::new(g), n)
+                (OrdF64::new(key), OrdF64::new(g), n, 0)
             })
             .min()
     }
@@ -1466,7 +1495,7 @@ mod tests {
                         let before = astar.expansions();
                         assert_eq!(astar.advance(), will_pop);
                         match expect {
-                            Some((_, gk, n)) => {
+                            Some((_, gk, n, _)) => {
                                 assert_eq!(astar.expansions(), before + 1);
                                 assert_eq!(
                                     astar.dist.get_copied(n).map(f64::to_bits),
@@ -1493,6 +1522,107 @@ mod tests {
         }
         assert!(exact_visits > 0, "no endpoint-exact retarget exercised");
         assert!(heapified_visits > 0, "no on-demand heapify exercised");
+    }
+
+    /// The smallest `(key, g, node, minimizer)` over `open` under the
+    /// current epoch's pack heuristic, by brute scan: `g` plus the
+    /// smallest in-epoch bound, whose lowest target index is the
+    /// minimizer. Nodes every in-epoch bound puts at infinity are unkeyed.
+    fn brute_pack_min(a: &AStar, ts: &[PackTarget]) -> Option<Entry> {
+        a.open
+            .iter()
+            .filter_map(|(n, &(g, p))| {
+                let (h, j) = ts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.in_epoch)
+                    .map(|(j, t)| (OrdF64::new(a.ctx.lb.node_bound(n, p, &t.lbt)), j as u32))
+                    .min()?;
+                let h = h.get();
+                h.is_finite()
+                    .then(|| (OrdF64::new(g + h), OrdF64::new(g), n, j))
+            })
+            .min()
+    }
+
+    #[test]
+    fn pack_pops_follow_a_brute_epoch_scan() {
+        // Packs of 1..=MAX_PACK targets drawn from a small pool (so some
+        // are already settled), interleaved with single-target visits and
+        // rebases: every pack pop must settle the minimum live
+        // `(key, g, node)` of a brute scan under the current epoch, and
+        // carry that scan's lowest-index minimizer.
+        use crate::oracle::AltOracle;
+        let (mut after_epoch, mut stale_fronts, mut settled) = (0u32, 0u32, 0u32);
+        for seed in 0..4u64 {
+            let g = random_net(70, seed + 1100);
+            let store = NetworkStore::build(&g);
+            let mid = MiddleLayer::build(&g, &[]);
+            let alt = AltOracle::build(&g, &store, &mid, 6);
+            let euclid_ctx = NetCtx::new(&g, &store, &mid);
+            let alt_ctx = NetCtx::new(&g, &store, &mid).with_bound(&alt);
+            for ctx in [&euclid_ctx, &alt_ctx] {
+                let mut rng = StdRng::seed_from_u64(seed + 23);
+                let pool: Vec<NetPosition> = (0..24).map(|_| rand_pos(&g, &mut rng)).collect();
+                let mut src = rand_pos(&g, &mut rng);
+                let mut dij = Dijkstra::new(ctx, src);
+                let mut astar = AStar::new(ctx, src);
+                for _ in 0..120 {
+                    match rng.random_range(0..6) {
+                        0 => {
+                            src = rand_pos(&g, &mut rng);
+                            astar.rebase(src);
+                            dij = Dijkstra::new(ctx, src);
+                        }
+                        1 | 2 => {
+                            astar.set_target(pool[rng.random_range(0..pool.len())]);
+                            for _ in 0..rng.random_range(0..=8) {
+                                astar.advance();
+                            }
+                        }
+                        _ => {}
+                    }
+                    // `distances_to_pack`'s sweep, one step at a time.
+                    let pack: Vec<NetPosition> = (0..rng.random_range(1..=AStar::MAX_PACK))
+                        .map(|_| pool[rng.random_range(0..pool.len())])
+                        .collect();
+                    astar.target = None;
+                    let mut ts = astar.pack_of(&pack);
+                    settled += ts.iter().filter(|t| t.resolved).count() as u32;
+                    if ts.iter().any(|t| !t.resolved) {
+                        astar.rekey_pack(&mut ts);
+                        let mut new_epoch = false;
+                        loop {
+                            let front = astar.peek_live();
+                            stale_fronts +=
+                                u32::from(front.is_some_and(|e| !ts[e.3 as usize].in_epoch));
+                            let brute = brute_pack_min(&astar, &ts);
+                            let retargets = astar.retargets();
+                            let Some(popped) = astar.pack_step(&mut ts) else {
+                                break;
+                            };
+                            assert_eq!(Some(popped), brute, "seed {seed}: pack pop off the scan");
+                            after_epoch += u32::from(new_epoch);
+                            new_epoch = astar.retargets() > retargets;
+                        }
+                    }
+                    for (t, pos) in ts.iter().zip(&pack) {
+                        let want = dij.distance_to_position(pos);
+                        assert!(
+                            approx_eq(t.known, want),
+                            "seed {seed}: {} vs {want}",
+                            t.known
+                        );
+                    }
+                }
+            }
+        }
+        assert!(after_epoch > 0, "no pop right after an epoch change");
+        assert!(
+            stale_fronts > 0,
+            "no entry reached the front keyed off-epoch"
+        );
+        assert!(settled > 0, "no pack target was settled at open");
     }
 
     #[test]

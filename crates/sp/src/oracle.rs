@@ -11,7 +11,7 @@
 //!   default ([`EUCLID`]). Bitwise identical to the pre-seam engines.
 //! * [`AltOracle`] — ALT landmarks (Goldberg & Harrelson): `k`
 //!   farthest-point landmarks, one exhaustive [`Dijkstra`] table per
-//!   landmark, triangle bound `max_l |d(l,u) − d(l,v)|`.
+//!   landmark stored node-major, triangle bound `max_l |d(l,u) − d(l,v)|`.
 //! * [`BlockOracle`] — Hilbert-curve node blocks with exact
 //!   distance-to-block tables `D[B][u] = d_N(u, B)`, refined (blocks
 //!   halved) until the bound is Euclid-tight on a deterministic sample.
@@ -298,9 +298,10 @@ fn pair_via_endpoints(node_lb: impl Fn(NodeId, NodeId) -> f64, a: &LbTarget, b: 
 pub struct AltOracle {
     /// Chosen landmark node ids (diagnostic; order = selection order).
     landmarks: Vec<NodeId>,
-    /// One exhaustive distance table per landmark (`f64::INFINITY` off
-    /// the landmark's component).
-    tables: Vec<Vec<f64>>,
+    /// The landmark tables, node-major: `rows[n * k + l] = d(l, n)` for
+    /// the `k` chosen landmarks (`f64::INFINITY` off landmark `l`'s
+    /// component), so one node's `k` distances sit in one contiguous row.
+    rows: Vec<f64>,
     bytes: u64,
     hits: AtomicU64,
     fallbacks: AtomicU64,
@@ -324,7 +325,6 @@ impl AltOracle {
         let ctx = NetCtx::new(net, &session, mid);
         let n = net.node_count();
         let mut chosen: Vec<NodeId> = Vec::new();
-        let mut tables: Vec<Vec<f64>> = Vec::new();
 
         // Seed: distances from the lowest-id non-isolated node. Its
         // table is only used to pick the first landmark, then dropped.
@@ -336,7 +336,7 @@ impl AltOracle {
         if seed.is_none() {
             return AltOracle {
                 landmarks: chosen,
-                tables,
+                rows: Vec::new(),
                 bytes: 0,
                 hits: AtomicU64::new(0),
                 fallbacks: AtomicU64::new(0),
@@ -344,6 +344,13 @@ impl AltOracle {
             };
         }
 
+        // Rows are filled at a stride of the requested count (no more
+        // than one landmark per node), one landmark's table at a time, so
+        // the build never holds both layouts. The table is filled in
+        // settle order first: random writes into the rows themselves made
+        // the build about 20 % slower.
+        let stride = landmarks.min(n);
+        let mut rows = vec![f64::INFINITY; n * stride];
         while chosen.len() < landmarks {
             // Farthest point: argmax of the current score among finite,
             // not-yet-chosen, non-isolated nodes; ties keep the lowest id.
@@ -361,17 +368,27 @@ impl AltOracle {
             let Some(table) = landmark_table(&ctx, pick) else {
                 break;
             };
-            for (s, &d) in score.iter_mut().zip(table.iter()) {
+            let l = chosen.len();
+            for ((row, s), &d) in rows.chunks_exact_mut(stride).zip(&mut score).zip(&table) {
                 *s = s.min(d);
+                row[l] = d;
             }
             chosen.push(pick);
-            tables.push(table);
+        }
+        let k = chosen.len();
+        if k < stride {
+            // Fewer landmarks than requested: close the gaps in place.
+            for i in 0..n {
+                rows.copy_within(i * stride..i * stride + k, i * k);
+            }
+            rows.truncate(n * k);
+            rows.shrink_to_fit();
         }
 
-        let bytes = (tables.len() * n * std::mem::size_of::<f64>()) as u64;
+        let bytes = (rows.len() * std::mem::size_of::<f64>()) as u64;
         AltOracle {
             landmarks: chosen,
-            tables,
+            rows,
             bytes,
             hits: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -384,19 +401,29 @@ impl AltOracle {
         &self.landmarks
     }
 
+    /// Node `n`'s landmark distances, `d(l, n)` for each landmark `l`.
+    #[inline]
+    fn row(&self, n: NodeId) -> &[f64] {
+        let k = self.landmarks.len();
+        &self.rows[n.idx() * k..][..k]
+    }
+
     /// Triangle bound between two *nodes*:
-    /// `max_l |d(l, x) − d(l, y)| ≤ d_N(x, y)`. Landmarks that reach
-    /// neither node contribute nothing; a landmark reaching exactly one
-    /// proves the nodes sit in different components (bound = ∞).
+    /// `max_l |d(l, x) − d(l, y)| ≤ d_N(x, y)`, over the two contiguous
+    /// rows without a branch. A landmark reaching exactly one node gives
+    /// `|∞ − d| = ∞`, proving the nodes sit in different components; one
+    /// reaching neither gives `∞ − ∞ = NaN`, which never wins a `>`, so it
+    /// contributes nothing. All other terms are finite and non-negative,
+    /// so the result is bit for bit the per-landmark maximum that skips
+    /// unreached pairs and returns ∞ on a one-sided one (`oracle::tests`).
+    /// Always inlined: `node_bound` calls it twice per evaluation.
+    #[inline(always)]
     fn node_pair(&self, x: NodeId, y: NodeId) -> f64 {
         let mut best = 0.0f64;
-        for table in &self.tables {
-            let dx = table[x.idx()];
-            let dy = table[y.idx()];
-            match (dx.is_finite(), dy.is_finite()) {
-                (true, true) => best = best.max((dx - dy).abs()),
-                (false, false) => {}
-                _ => return f64::INFINITY,
+        for (dx, dy) in self.row(x).iter().zip(self.row(y)) {
+            let d = (dx - dy).abs();
+            if d > best {
+                best = d;
             }
         }
         best
@@ -931,6 +958,139 @@ mod tests {
         let c = alt.counters();
         assert_eq!(c.oracle_hits + c.euclid_fallbacks, 1);
         assert!(alt.build_bytes() > 0);
+    }
+
+    /// Two seeded random blobs of `n` nodes each, far apart, with no
+    /// edge between them.
+    fn two_component_net(n: usize, seed: u64) -> RoadNetwork {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetworkBuilder::new();
+        for base in [0.0, 500.0] {
+            for _ in 0..n {
+                b.add_node(Point::new(
+                    base + rng.random_range(0.0..100.0),
+                    rng.random_range(0.0..100.0),
+                ));
+            }
+        }
+        for first in [0, n as u32] {
+            for i in first + 1..first + n as u32 {
+                b.add_straight_edge(NodeId(i - 1), NodeId(i)).unwrap();
+            }
+            for _ in 0..n {
+                let a = NodeId(first + rng.random_range(0..n as u32));
+                let c = NodeId(first + rng.random_range(0..n as u32));
+                if a != c {
+                    let _ = b.add_straight_edge(a, c);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The per-landmark kernel the node-major rows replaced: one table
+    /// at a time, with an explicit finiteness match.
+    fn per_landmark_node_pair(tables: &[Vec<f64>], x: NodeId, y: NodeId) -> f64 {
+        let mut best = 0.0f64;
+        for table in tables {
+            let dx = table[x.idx()];
+            let dy = table[y.idx()];
+            match (dx.is_finite(), dy.is_finite()) {
+                (true, true) => best = best.max((dx - dy).abs()),
+                (false, false) => {}
+                _ => return f64::INFINITY,
+            }
+        }
+        best
+    }
+
+    /// Checks `alt`'s kernel against the per-landmark reference over
+    /// `tables` for every node pair, bit for bit. Returns how many pairs
+    /// some landmark reached on one side only, and on neither.
+    fn check_kernel(alt: &AltOracle, tables: &[Vec<f64>], n: usize) -> (u32, u32) {
+        let (mut one_sided, mut neither) = (0u32, 0u32);
+        for x in (0..n as u32).map(NodeId) {
+            for y in (0..n as u32).map(NodeId) {
+                let want = per_landmark_node_pair(tables, x, y);
+                let k = tables.len();
+                assert_eq!(
+                    alt.node_pair(x, y).to_bits(),
+                    want.to_bits(),
+                    "k {k}: {x:?}, {y:?}"
+                );
+                let reached = |t: &Vec<f64>, v: NodeId| t[v.idx()].is_finite();
+                one_sided += u32::from(tables.iter().any(|t| reached(t, x) != reached(t, y)));
+                neither += u32::from(tables.iter().any(|t| !reached(t, x) && !reached(t, y)));
+            }
+        }
+        (one_sided, neither)
+    }
+
+    #[test]
+    fn alt_kernel_matches_the_per_landmark_reference_bitwise() {
+        // Landmark counts 1, 5, 6 and 12, plus one the split network
+        // cannot fill (40 asked, fewer than 30 reachable), which closes
+        // the row gaps. The reference tables are recomputed from the
+        // chosen landmarks, so the row layout is checked as well.
+        let mut seen = (0u32, 0u32);
+        let nets = [
+            (random_net(40, 31), vec![1, 5, 6, 12]),
+            (random_net(40, 32), vec![1, 5, 6, 12]),
+            (two_component_net(30, 33), vec![1, 5, 6, 12, 40]),
+        ];
+        for (net, counts) in &nets {
+            let store = NetworkStore::build(net);
+            let mid = MiddleLayer::build(net, &[]);
+            let session = store.session_with_stats(IoStats::new());
+            let ctx = NetCtx::new(net, &session, &mid);
+            for &k in counts {
+                let alt = AltOracle::build(net, &store, &mid, k);
+                let chosen = alt.landmarks().len();
+                assert!(
+                    chosen == k || (k == 40 && chosen < k),
+                    "{chosen} of {k} landmarks"
+                );
+                let tables: Vec<Vec<f64>> = alt
+                    .landmarks()
+                    .iter()
+                    .map(|&l| landmark_table(&ctx, l).unwrap())
+                    .collect();
+                let (a, b) = check_kernel(&alt, &tables, net.node_count());
+                seen = (seen.0 + a, seen.1 + b);
+            }
+        }
+        assert!(seen.0 > 0, "no landmark reached exactly one node");
+        assert!(seen.1 > 0, "no landmark reached neither node");
+
+        // Selection keeps every landmark in the seed's component, so no
+        // pair above mixes reached and unreached landmarks. Synthetic
+        // rows do.
+        let mut rng = StdRng::seed_from_u64(34);
+        let n = 24;
+        for k in [1, 5, 6, 12] {
+            let tables: Vec<Vec<f64>> = (0..k)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| {
+                            if rng.random_bool(0.3) {
+                                f64::INFINITY
+                            } else {
+                                rng.random_range(0.0..100.0)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let alt = AltOracle {
+                landmarks: (0..k as u32).map(NodeId).collect(),
+                rows: (0..n * k).map(|i| tables[i % k][i / k]).collect(),
+                bytes: 0,
+                hits: AtomicU64::new(0),
+                fallbacks: AtomicU64::new(0),
+                stale: AtomicBool::new(false),
+            };
+            check_kernel(&alt, &tables, n);
+        }
     }
 
     #[test]
