@@ -10,8 +10,8 @@
 //! report compares:
 //!
 //! * **repair expansions** — network nodes the incremental path settles
-//!   (blast-radius certificates keep untouched candidates, pack-sweep
-//!   A\* re-resolves the dirty ones; full-recompute fallbacks included);
+//!   (blast-radius certificates keep untouched candidates, A\*
+//!   re-resolves the dirty ones; full-recompute fallbacks included);
 //! * **scratch expansions** — what rebuilding the whole distance table
 //!   from scratch after each batch costs instead (an INE refill per
 //!   query point);
@@ -54,7 +54,7 @@ pub struct DynTotals {
     pub updates: u64,
     /// Candidate entries the blast-radius certificates invalidated.
     pub invalidated: u64,
-    /// Queries repaired incrementally (pack-sweep A* on the dirty set).
+    /// Queries repaired incrementally (A* on the dirty set).
     pub incremental: u64,
     /// Queries that fell back to a full table recompute.
     pub full: u64,

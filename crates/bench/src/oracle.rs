@@ -35,7 +35,7 @@ pub const ORACLE_ALGOS: [Algorithm; 2] = [Algorithm::Edc, Algorithm::Lbc];
 pub struct OracleTotals {
     /// Network nodes expanded across all wavefronts.
     pub expansions: u64,
-    /// `set_target` calls plus pack re-keys (`sp.astar.retargets`).
+    /// `set_target` calls (`sp.astar.retargets`).
     pub retargets: u64,
     /// EDC hypercube-window candidates actually computed.
     pub window_candidates: u64,

@@ -280,7 +280,8 @@ pub fn continental_run(
     cap: usize,
 ) -> (StreamBuildReport, f64, Vec<ScaleQueryCell>) {
     let t0 = Instant::now();
-    let (store, report) = stream_build(config, PoolConfig::default());
+    let (store, report) = stream_build(config, PoolConfig::default())
+        .expect("stream build within its staging budget");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let n = store.node_count() as u32;
     let sources = [NodeId(0), NodeId(n / 3), NodeId(2 * n / 3), NodeId(n - 1)];
@@ -557,7 +558,7 @@ mod tests {
             budget_bytes: None,
             ..StreamNetConfig::continental().with_grid(24, 18)
         };
-        let (store, _) = stream_build(&cfg, PoolConfig::default());
+        let (store, _) = stream_build(&cfg, PoolConfig::default()).expect("unbudgeted build");
         let sources = [NodeId(0), NodeId(431)];
         let mut want: Option<(usize, u64)> = None;
         for (bytes, shards, ra) in [(1 << 14, 1, 0), (1 << 20, 4, 0), (1 << 14, 4, 8)] {

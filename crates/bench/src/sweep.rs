@@ -1,36 +1,27 @@
-//! Multi-target sweep benchmark (ISSUE 4): single-target vs batched
-//! distance resolution at matched workloads, emitting `BENCH_4.json`.
+//! Distance-resolution cost benchmark, emitting `BENCH_4.json`.
 //!
 //! Every algorithm that resolves distance batches — EDC in both forms,
-//! LBC with and without plb — runs cold over the same engine and the
-//! same query seeds twice: once with [`msq_core::SweepMode::SingleTarget`]
-//! (the legacy per-destination `set_target` loop) and once with
-//! [`msq_core::SweepMode::Batched`] (multi-target pack sweeps,
-//! `rn_sp::AStar::distances_to_pack`). The two runs are verified to
-//! return **bitwise identical** skylines — packs are a pure cost
-//! optimisation — and the cost deltas are reported per algorithm:
+//! LBC with and without plb — runs cold over the same engine and the same
+//! query seeds. Each resolves a network distance with one `set_target` on
+//! a per-query-point A\* engine whose settled map is reused across
+//! destinations (§6.1). The four skylines are verified **bitwise
+//! identical** per seed, and the costs are reported per algorithm:
 //!
-//! * **expansions** — nodes settled across all wavefronts. Bounded by
-//!   `single + retargets` (a deferred epoch change wastes at most one
-//!   steered-dead pop), so this column moves little in either direction.
-//! * **retargets** — `set_target` calls, pack re-keys and pack epoch
-//!   changes. A re-key is one compaction pass over the frontier keys
-//!   touched since the last re-key plus an O(|live frontier|) keying
-//!   pass; an endpoint-exact `set_target` does neither, and an epoch
-//!   change re-keys only the entries that reach the front. This is where
-//!   packs win: k single-target resolutions pay k retargets, a pack pays
-//!   one re-key plus one epoch change per steered-dead pop.
+//! * **expansions** — nodes settled across all wavefronts;
+//! * **retargets** — `set_target` calls. An endpoint-exact one keys
+//!   nothing; any other re-keys the live frontier lazily (DESIGN.md
+//!   §11.6);
 //! * **page faults** (cold/warm) and **wall / response time**.
 //!
 //! Counters are deterministic (DESIGN.md §10), so the counter columns of
 //! BENCH_4.json are bit-reproducible for a given `MSQ_SEEDS`.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{canonical, Algorithm, Exec, Metric, QueryPlan, SkylineResult, SweepMode};
+use msq_core::{canonical, Algorithm, Metric, SkylineResult};
 use rn_workload::{generate_queries, Preset};
 
 /// The algorithms whose distance resolution goes through batches. CE
-/// never touches the A* pack path, so it has no single-vs-batched axis.
+/// expands wavefronts instead, so it has no A\* resolution cost.
 pub const SWEEP_ALGOS: [Algorithm; 4] = [
     Algorithm::Edc,
     Algorithm::EdcBatch,
@@ -38,24 +29,18 @@ pub const SWEEP_ALGOS: [Algorithm; 4] = [
     Algorithm::LbcNoPlb,
 ];
 
-/// Cost totals of one `(algorithm, sweep mode)` pair, summed over seeds.
+/// Cost totals of one algorithm, summed over seeds.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ModeTotals {
+pub struct Totals {
     /// Network nodes expanded across all wavefronts.
     pub expansions: u64,
-    /// `set_target` calls plus pack re-keys (`sp.astar.retargets`).
+    /// `set_target` calls (`sp.astar.retargets`).
     pub retargets: u64,
-    /// Pack sweeps opened (zero in single-target mode).
-    pub pack_sweeps: u64,
-    /// Destinations resolved through packs.
-    pub pack_targets: u64,
-    /// Re-keys saved versus per-destination `set_target`.
-    pub rekeys_avoided: u64,
     /// Buffer-pool faults on a cold page.
     pub faults_cold: u64,
     /// Buffer-pool faults evicting a warm page.
     pub faults_warm: u64,
-    /// Skyline cardinality (must match across modes).
+    /// Skyline cardinality (must match across algorithms).
     pub skyline: u64,
     /// Pure CPU wall-clock, milliseconds.
     pub wall_ms: f64,
@@ -63,13 +48,10 @@ pub struct ModeTotals {
     pub response_ms: f64,
 }
 
-impl ModeTotals {
+impl Totals {
     fn add(&mut self, r: &SkylineResult, io: f64) {
         self.expansions += r.trace.get(Metric::SpHeapPops);
         self.retargets += r.trace.get(Metric::SpAstarRetargets);
-        self.pack_sweeps += r.trace.get(Metric::SpAstarPackSweeps);
-        self.pack_targets += r.trace.get(Metric::SpAstarPackTargets);
-        self.rekeys_avoided += r.trace.get(Metric::SpAstarPackRekeysAvoided);
         self.faults_cold += r.trace.get(Metric::StoragePageFaultsCold);
         self.faults_warm += r.trace.get(Metric::StoragePageFaultsWarm);
         self.skyline += r.skyline.len() as u64;
@@ -79,71 +61,55 @@ impl ModeTotals {
     }
 }
 
-/// The single-vs-batched comparison for one algorithm.
+/// The cost series of one algorithm.
 #[derive(Clone, Debug)]
 pub struct SweepSeries {
     /// Which algorithm.
     pub algo: Algorithm,
-    /// Totals with per-destination `set_target` resolution.
-    pub single: ModeTotals,
-    /// Totals with multi-target pack sweeps.
-    pub batched: ModeTotals,
+    /// Its totals over every seed.
+    pub totals: Totals,
 }
 
-/// `100 * (1 - batched/single)`: positive when batching reduces the
-/// quantity, negative when it costs more, 0 for an empty baseline.
-pub fn reduction_pct(single: u64, batched: u64) -> f64 {
-    if single == 0 {
-        0.0
-    } else {
-        100.0 * (1.0 - batched as f64 / single as f64)
-    }
-}
-
-/// Runs every batching algorithm cold over `seeds` query seeds in both
-/// sweep modes and returns the totals, verifying the skylines bitwise
-/// identical across modes along the way.
+/// Runs every batching algorithm cold over `seeds` query seeds and
+/// returns the totals, verifying the skylines bitwise identical across
+/// algorithms along the way.
 ///
 /// # Panics
-/// Panics when a batched run's skyline diverges from the single-target
-/// run — that would be an engine bug, not a benchmark result.
+/// Panics when two algorithms' skylines diverge — that would be an
+/// engine bug, not a benchmark result.
 pub fn collect(setting: &Setting, seeds: u64) -> Vec<SweepSeries> {
     let engine = build_engine(setting);
     let io = io_ms();
-    SWEEP_ALGOS
+    let mut series: Vec<SweepSeries> = SWEEP_ALGOS
         .iter()
-        .map(|&algo| {
-            let mut single = ModeTotals::default();
-            let mut batched = ModeTotals::default();
-            for seed in 0..seeds {
-                let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
-                let s = engine.run_plan(&QueryPlan {
-                    exec: Exec::Cold,
-                    sweep: SweepMode::SingleTarget,
-                    ..QueryPlan::new(algo, &queries)
-                });
-                let b = engine.run_cold(algo, &queries); // batched: the default
-                assert_eq!(
-                    canonical(&s.skyline),
-                    canonical(&b.skyline),
-                    "{} seed {seed}: batched skyline diverged from single-target",
-                    algo.name()
-                );
-                single.add(&s, io);
-                batched.add(&b, io);
-            }
-            SweepSeries {
-                algo,
-                single,
-                batched,
-            }
+        .map(|&algo| SweepSeries {
+            algo,
+            totals: Totals::default(),
         })
-        .collect()
+        .collect();
+    for seed in 0..seeds {
+        let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
+        let mut reference = None;
+        for s in &mut series {
+            let r = engine.run_cold(s.algo, &queries);
+            let sky = canonical(&r.skyline);
+            let want = reference.get_or_insert_with(|| sky.clone());
+            assert_eq!(
+                &sky,
+                want,
+                "{} seed {seed}: skyline diverged from {}",
+                s.algo.name(),
+                SWEEP_ALGOS[0].name()
+            );
+            s.totals.add(&r, io);
+        }
+    }
+    series
 }
 
-/// Runs the sweep benchmark on the standard workload (CA-like preset,
-/// ω = 0.5, |Q| = 4), prints the comparison table, and writes
-/// `BENCH_4.json` into the working directory.
+/// Runs the benchmark on the standard workload (CA-like preset,
+/// ω = 0.5, |Q| = 4), prints the cost table, and writes `BENCH_4.json`
+/// into the working directory.
 pub fn sweep_report() {
     let setting = Setting {
         preset: Preset::Ca,
@@ -156,63 +122,26 @@ pub fn sweep_report() {
     let cols: Vec<&str> = series.iter().map(|s| s.algo.name()).collect();
     print_header(
         &format!(
-            "T4  single-target vs batched sweeps (CA, omega=0.5, |Q|=4, {seeds} seeds, summed; skylines verified bitwise-equal)"
+            "T4  distance-resolution cost (CA, omega=0.5, |Q|=4, {seeds} seeds, summed; skylines verified bitwise-equal)"
         ),
         &cols,
     );
-    let row = |label: &str, f: &dyn Fn(&SweepSeries) -> f64, precision: usize| {
-        let vals: Vec<f64> = series.iter().map(f).collect();
+    let row = |label: &str, f: &dyn Fn(&Totals) -> f64, precision: usize| {
+        let vals: Vec<f64> = series.iter().map(|s| f(&s.totals)).collect();
         println!("{}", crate::harness::format_row(label, &vals, precision));
     };
-    row("exp single", &|s| s.single.expansions as f64, 0);
-    row("exp batched", &|s| s.batched.expansions as f64, 0);
-    row(
-        "exp red %",
-        &|s| reduction_pct(s.single.expansions, s.batched.expansions),
-        1,
-    );
-    row("rekey single", &|s| s.single.retargets as f64, 0);
-    row("rekey batch", &|s| s.batched.retargets as f64, 0);
-    row(
-        "rekey red %",
-        &|s| reduction_pct(s.single.retargets, s.batched.retargets),
-        1,
-    );
-    row("warm single", &|s| s.single.faults_warm as f64, 0);
-    row("warm batched", &|s| s.batched.faults_warm as f64, 0);
-    row("pack sweeps", &|s| s.batched.pack_sweeps as f64, 0);
-    row("pack targets", &|s| s.batched.pack_targets as f64, 0);
-    row("saved rekeys", &|s| s.batched.rekeys_avoided as f64, 0);
-    row("wall single", &|s| s.single.wall_ms, 2);
-    row("wall batched", &|s| s.batched.wall_ms, 2);
+    row("expansions", &|t| t.expansions as f64, 0);
+    row("retargets", &|t| t.retargets as f64, 0);
+    row("cold faults", &|t| t.faults_cold as f64, 0);
+    row("warm faults", &|t| t.faults_warm as f64, 0);
+    row("wall ms", &|t| t.wall_ms, 2);
 
     let json = render_json(&series, seeds);
-    let path = "BENCH_4.json";
-    crate::report::write_report(path, &json);
+    crate::report::write_report("BENCH_4.json", &json);
 }
 
 /// Hand-rolled JSON (the in-tree serde shim is a no-op facade).
 pub fn render_json(series: &[SweepSeries], seeds: u64) -> String {
-    let mode = |out: &mut String, label: &str, t: &ModeTotals, trailing_comma: bool| {
-        out.push_str(&format!("      \"{label}\": {{\n"));
-        out.push_str(&format!("        \"expansions\": {},\n", t.expansions));
-        out.push_str(&format!("        \"retargets\": {},\n", t.retargets));
-        out.push_str(&format!("        \"pack_sweeps\": {},\n", t.pack_sweeps));
-        out.push_str(&format!("        \"pack_targets\": {},\n", t.pack_targets));
-        out.push_str(&format!(
-            "        \"pack_rekeys_avoided\": {},\n",
-            t.rekeys_avoided
-        ));
-        out.push_str(&format!("        \"faults_cold\": {},\n", t.faults_cold));
-        out.push_str(&format!("        \"faults_warm\": {},\n", t.faults_warm));
-        out.push_str(&format!("        \"skyline\": {},\n", t.skyline));
-        out.push_str(&format!("        \"wall_ms\": {:.3},\n", t.wall_ms));
-        out.push_str(&format!("        \"response_ms\": {:.3}\n", t.response_ms));
-        out.push_str(&format!(
-            "      }}{}\n",
-            if trailing_comma { "," } else { "" }
-        ));
-    };
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"sweep\",\n");
     out.push_str("  \"preset\": \"CA\",\n");
@@ -221,30 +150,22 @@ pub fn render_json(series: &[SweepSeries], seeds: u64) -> String {
     out.push_str(&format!("  \"seeds\": {seeds},\n"));
     out.push_str(&format!("  \"io_ms\": {},\n", io_ms()));
     out.push_str(
-        "  \"note\": \"matched workloads: same engine, same query seeds, cold buffer per run; \
-         skylines verified bitwise identical across sweep modes; counters deterministic \
-         (DESIGN.md sec. 10), wall/response vary per host\",\n",
+        "  \"note\": \"one series per batching algorithm: same engine, same query seeds, cold \
+         buffer per run; skylines verified bitwise identical across algorithms; counters \
+         deterministic (DESIGN.md sec. 10), wall/response vary per host\",\n",
     );
     out.push_str("  \"series\": [\n");
     for (si, s) in series.iter().enumerate() {
+        let t = &s.totals;
         out.push_str("    {\n");
         out.push_str(&format!("      \"algo\": \"{}\",\n", s.algo.name()));
-        mode(&mut out, "single_target", &s.single, true);
-        mode(&mut out, "batched", &s.batched, true);
-        out.push_str("      \"reduction_pct\": {\n");
-        out.push_str(&format!(
-            "        \"expansions\": {:.2},\n",
-            reduction_pct(s.single.expansions, s.batched.expansions)
-        ));
-        out.push_str(&format!(
-            "        \"retargets\": {:.2},\n",
-            reduction_pct(s.single.retargets, s.batched.retargets)
-        ));
-        out.push_str(&format!(
-            "        \"faults_warm\": {:.2}\n",
-            reduction_pct(s.single.faults_warm, s.batched.faults_warm)
-        ));
-        out.push_str("      }\n");
+        out.push_str(&format!("      \"expansions\": {},\n", t.expansions));
+        out.push_str(&format!("      \"retargets\": {},\n", t.retargets));
+        out.push_str(&format!("      \"faults_cold\": {},\n", t.faults_cold));
+        out.push_str(&format!("      \"faults_warm\": {},\n", t.faults_warm));
+        out.push_str(&format!("      \"skyline\": {},\n", t.skyline));
+        out.push_str(&format!("      \"wall_ms\": {:.3},\n", t.wall_ms));
+        out.push_str(&format!("      \"response_ms\": {:.3}\n", t.response_ms));
         out.push_str(&format!(
             "    }}{}\n",
             if si + 1 < series.len() { "," } else { "" }
@@ -259,90 +180,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batched_never_rekeys_more_and_skylines_agree() {
-        // collect() itself asserts bitwise skyline equality per seed; on
-        // top of that, every algorithm's batched run must spend at most
-        // as many re-keys as the per-destination loop it replaces would
-        // on its pack-resolved share — for EDC, which resolves *every*
-        // vector through packs, that is a strict global inequality.
+    fn every_batching_algorithm_reports_a_series() {
+        // collect() itself asserts the four skylines bitwise equal per
+        // seed; on top of that, every algorithm resolves some distance.
         let setting = Setting {
             preset: Preset::Ca,
             omega: 0.3,
             nq: 3,
         };
         let series = collect(&setting, 1);
-        assert_eq!(series.len(), SWEEP_ALGOS.len());
+        let algos: Vec<Algorithm> = series.iter().map(|s| s.algo).collect();
+        assert_eq!(algos, SWEEP_ALGOS);
         for s in &series {
-            assert_eq!(
-                s.single.pack_sweeps,
-                0,
-                "{}: single-target mode opened a pack",
-                s.algo.name()
-            );
-            assert!(
-                s.batched.pack_sweeps > 0,
-                "{}: batched mode never went through a pack",
-                s.algo.name()
-            );
-            assert_eq!(
-                s.single.skyline,
-                s.batched.skyline,
-                "{}: skyline cardinality diverged",
-                s.algo.name()
-            );
+            assert!(s.totals.retargets > 0, "{}: no retarget", s.algo.name());
+            assert!(s.totals.expansions > 0, "{}: no expansion", s.algo.name());
+            assert_eq!(s.totals.skyline, series[0].totals.skyline);
         }
-        let edc = series
-            .iter()
-            .find(|s| s.algo == Algorithm::Edc)
-            .expect("EDC series");
-        assert!(
-            edc.batched.retargets <= edc.single.retargets,
-            "EDC batched re-keyed more: {} > {}",
-            edc.batched.retargets,
-            edc.single.retargets
-        );
-        assert_eq!(
-            edc.batched.pack_targets,
-            edc.batched.rekeys_avoided + edc.batched.retargets,
-            "EDC pack re-key accounting diverged"
-        );
-    }
-
-    #[test]
-    fn reduction_percentages() {
-        assert_eq!(reduction_pct(0, 5), 0.0);
-        assert_eq!(reduction_pct(10, 5), 50.0);
-        assert_eq!(reduction_pct(10, 10), 0.0);
-        assert!((reduction_pct(10, 12) + 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let series = vec![SweepSeries {
             algo: Algorithm::Edc,
-            single: ModeTotals {
+            totals: Totals {
                 expansions: 100,
                 retargets: 80,
-                ..ModeTotals::default()
-            },
-            batched: ModeTotals {
-                expansions: 90,
-                retargets: 20,
-                pack_sweeps: 10,
-                pack_targets: 80,
-                rekeys_avoided: 60,
-                ..ModeTotals::default()
+                ..Totals::default()
             },
         }];
         let j = render_json(&series, 3);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.contains("\"algo\": \"EDC\""));
-        assert!(j.contains("\"single_target\""));
+        assert!(j.contains("\"expansions\": 100"));
         assert!(j.contains("\"retargets\": 80"));
-        assert!(
-            j.contains("\"retargets\": 75.00"),
-            "reduction block present"
-        );
+        assert!(!j.contains("single_target"), "no mode axis");
     }
 }

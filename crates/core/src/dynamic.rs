@@ -12,7 +12,7 @@
 //! * every other `(query point, object)` pair is kept when a sound
 //!   *blast-radius certificate* proves no path through a changed edge can
 //!   alter its exact distance (see [the invalidation rule](#invalidation)),
-//!   re-resolved through the pack-sweep A\* otherwise;
+//!   re-resolved through A\* otherwise;
 //! * deletions cost zero expansions — the retired row simply stops
 //!   participating in dominance adjudication.
 //!
@@ -71,7 +71,7 @@ pub enum OracleMaintenance {
     Degrade,
     /// Re-run the oracle build against the mutated network immediately
     /// (counted in `dyn.oracle.rebuilds`). Expensive, restores full
-    /// pruning strength for the certificates and the repair sweeps.
+    /// pruning strength for the certificates and the repair searches.
     Rebuild,
 }
 
@@ -596,8 +596,8 @@ impl DynamicEngine {
         (live, expansions)
     }
 
-    /// Re-resolves the dirty rows of one query through the pack-sweep
-    /// A\* (one sweep per query point, amortised across the whole dirty
+    /// Re-resolves the dirty rows of one query through A\* (one engine
+    /// per query point, its settled map shared across the whole dirty
     /// set). Returns the expansions spent.
     fn repair(&mut self, qi: usize, dirty: &[ObjectId]) -> u64 {
         let mid = self.engine.mid_ref();

@@ -32,7 +32,7 @@
 //! definition; on adversarial inputs it restores correctness — all three
 //! algorithms always return identical skylines.
 
-use crate::engine::{AlgoOutput, PartialInfo, QueryInput, SweepMode, UnresolvedCandidate};
+use crate::engine::{AlgoOutput, PartialInfo, QueryInput, UnresolvedCandidate};
 use crate::stats::{Reporter, SkylinePoint};
 use rn_geom::Point;
 use rn_graph::{NetPosition, ObjectId};
@@ -85,31 +85,17 @@ impl<'a> SeqBackend<'a> {
 impl VectorBackend for SeqBackend<'_> {
     fn vectors(&mut self, input: &QueryInput<'_>, objs: &[ObjectId]) -> Vec<Vec<f64>> {
         let positions: Vec<NetPosition> = objs.iter().map(|&o| input.ctx.mid.position(o)).collect();
-        let mut rows: Vec<Vec<f64>> = match input.sweep {
-            // One pack sweep per dimension engine: the whole batch of
-            // destinations rides a single wavefront expansion.
-            SweepMode::Batched => {
-                let mut rows: Vec<Vec<f64>> = objs
-                    .iter()
-                    .map(|_| Vec::with_capacity(input.full_arity()))
-                    .collect();
-                for e in &mut self.engines {
-                    for (row, d) in rows.iter_mut().zip(e.distances_to_pack(&positions)) {
-                        row.push(d);
-                    }
-                }
-                rows
+        let mut rows: Vec<Vec<f64>> = objs
+            .iter()
+            .map(|_| Vec::with_capacity(input.full_arity()))
+            .collect();
+        // One dimension at a time, so each engine sees the batch's
+        // destinations in object order under every backend.
+        for e in &mut self.engines {
+            for (row, d) in rows.iter_mut().zip(e.distances_to_pack(&positions)) {
+                row.push(d);
             }
-            SweepMode::SingleTarget => positions
-                .iter()
-                .map(|&pos| {
-                    self.engines
-                        .iter_mut()
-                        .map(|e| e.distance_to(pos))
-                        .collect()
-                })
-                .collect(),
-        };
+        }
         for (row, &obj) in rows.iter_mut().zip(objs) {
             input.extend_with_attrs(obj, row);
         }
@@ -371,9 +357,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
     let obs = reporter.obs();
     obs.add(Metric::SpAstarConfirms, stats.confirms);
     obs.add(Metric::SpAstarRetargets, stats.retargets);
-    obs.add(Metric::SpAstarPackSweeps, stats.pack_sweeps);
     obs.add(Metric::SpAstarPackTargets, stats.pack_targets);
-    obs.add(Metric::SpAstarPackRekeysAvoided, stats.pack_rekeys_avoided);
 
     AlgoOutput {
         candidates: computed.len(),

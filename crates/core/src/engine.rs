@@ -51,22 +51,6 @@ impl Algorithm {
     pub const PAPER_SET: [Algorithm; 3] = [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc];
 }
 
-/// How EDC and LBC resolve a *batch* of exact network distances against
-/// one A\* engine (DESIGN.md §11).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SweepMode {
-    /// Multi-target pack sweeps ([`rn_sp::AStar::distances_to_pack`]):
-    /// one wavefront expansion amortised across every open destination of
-    /// the batch, shrinking the heuristic to the unresolved targets only
-    /// when a resolved one stops steering it usefully.
-    #[default]
-    Batched,
-    /// The pre-pack behaviour — one `set_target` re-key plus a full
-    /// resolution per destination. Retained as the ablation baseline the
-    /// `sweep` benchmark compares against.
-    SingleTarget,
-}
-
 /// Where a query's pages come from and how it is driven (DESIGN.md §18).
 #[derive(Clone, Copy)]
 pub enum Exec<'s> {
@@ -122,16 +106,14 @@ pub struct QueryPlan<'a> {
     /// Static non-spatial dimensions appended to every vector (§4.3's
     /// extension); the table must cover every object.
     pub attrs: Option<&'a AttrTable>,
-    /// Batched pack sweeps or single-target distance resolution.
-    pub sweep: SweepMode,
     /// Which query point the run treats as its source (§4.3). Vectors
     /// still come back in the order of [`QueryPlan::queries`].
     pub source: SourceStrategy,
 }
 
 impl<'a> QueryPlan<'a> {
-    /// A warm, unlimited, attribute-free plan with batched sweeps and the
-    /// first query point as source.
+    /// A warm, unlimited, attribute-free plan with the first query point
+    /// as source.
     pub fn new(algo: Algorithm, queries: &'a [NetPosition]) -> Self {
         QueryPlan {
             algo,
@@ -139,7 +121,6 @@ impl<'a> QueryPlan<'a> {
             exec: Exec::Warm,
             budget: QueryBudget::unlimited(),
             attrs: None,
-            sweep: SweepMode::default(),
             source: SourceStrategy::First,
         }
     }
@@ -157,8 +138,6 @@ pub struct QueryInput<'a> {
     pub queries: Vec<QueryPoint>,
     /// Optional static attribute dimensions (§4.3's extension).
     pub attrs: Option<&'a AttrTable>,
-    /// Batched pack sweeps (default) or single-target distance resolution.
-    pub sweep: SweepMode,
 }
 
 impl<'a> QueryInput<'a> {
@@ -504,9 +483,9 @@ impl SkylineEngine {
     }
 
     /// Runs one query plan. This is the engine's only execution path:
-    /// every combination of algorithm, [`Exec`] mode, budget, attributes,
-    /// sweep mode and source strategy is assembled, guarded, metered and
-    /// turned into a result here (DESIGN.md §18).
+    /// every combination of algorithm, [`Exec`] mode, budget, attributes
+    /// and source strategy is assembled, guarded, metered and turned into
+    /// a result here (DESIGN.md §18).
     ///
     /// The skyline is independent of the source strategy and the exec
     /// mode. Vectors, and the lower bounds of unresolved candidates, come
@@ -559,7 +538,6 @@ impl SkylineEngine {
             obj_tree: &self.obj_tree,
             queries,
             attrs: plan.attrs,
-            sweep: plan.sweep,
         };
 
         // The shared index and oracle counters are attributed to this

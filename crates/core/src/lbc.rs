@@ -32,7 +32,7 @@
 //! distance vector eagerly, quantifying exactly what the lower-bound
 //! machinery saves.
 
-use crate::engine::{AlgoOutput, PartialInfo, QueryInput, SweepMode, UnresolvedCandidate};
+use crate::engine::{AlgoOutput, PartialInfo, QueryInput, UnresolvedCandidate};
 use crate::stats::{Reporter, SkylinePoint};
 use rn_geom::{OrdF64, Point};
 use rn_graph::{NetPosition, ObjectId};
@@ -403,49 +403,33 @@ fn run_mode(
                 reporter.mark_first();
             }
 
-            // Resolve each batch member fully, then filter the batch
-            // pairwise. Batched mode amortises the whole tie-batch into
-            // one pack sweep per dimension; single-target mode resolves
-            // members one at a time (cheapest dimension first, discarding
-            // early when sequential).
-            let ends: Vec<SessionEnd> = match input.sweep {
-                SweepMode::Batched => resolve_batch(
-                    &mut slab,
-                    &batch,
-                    &mut engines,
-                    &skyline,
-                    par,
-                    use_plb,
-                    guard,
-                ),
-                SweepMode::SingleTarget => batch
-                    .iter()
-                    .map(|&i| match par {
-                        // Any parallel-mode run takes the shared-wavefront
-                        // resolution path — including w == 1 — so the
-                        // recorded trace is worker-count-invariant
-                        // (DESIGN.md §10).
-                        Some(w) => {
-                            resolve_parallel(&mut slab[i], &mut engines, &skyline, w, use_plb)
-                        }
-                        None => session(
-                            &mut slab[i],
-                            &mut engines,
-                            &skyline,
-                            f64::INFINITY,
-                            true,
-                            use_plb,
-                            guard,
-                        ),
-                    })
-                    .collect(),
-            };
+            // Resolve each batch member fully, one at a time (cheapest
+            // dimension first, discarding early when sequential), then
+            // filter the batch pairwise.
+            let ends: Vec<SessionEnd> = batch
+                .iter()
+                .map(|&i| match par {
+                    // Any parallel-mode run takes the shared-wavefront
+                    // resolution path — including w == 1 — so the recorded
+                    // trace is worker-count-invariant (DESIGN.md §10).
+                    Some(w) => resolve_parallel(&mut slab[i], &mut engines, &skyline, w, use_plb),
+                    None => session(
+                        &mut slab[i],
+                        &mut engines,
+                        &skyline,
+                        f64::INFINITY,
+                        true,
+                        use_plb,
+                        guard,
+                    ),
+                })
+                .collect();
             if guard.is_some_and(|g| g.tripped()) {
-                // The budget tripped mid-resolution: nothing below is
-                // certified (interrupted engines return upper bounds, and
-                // the resolvers leave the batch's bounds untouched on a
-                // trip). The batch members stay live and surface in the
-                // unresolved report.
+                // The budget tripped mid-resolution: the batch is not
+                // fully resolved (interrupted engines return upper bounds,
+                // which the resolvers never apply). The batch members stay
+                // live and surface in the unresolved report with the
+                // certified bounds they hold.
                 break;
             }
             let mut confirmed: Vec<(usize, Vec<f64>)> = Vec::new();
@@ -522,9 +506,6 @@ fn run_mode(
     let obs = reporter.obs();
     obs.add(Metric::SpAstarConfirms, stats.confirms);
     obs.add(Metric::SpAstarRetargets, stats.retargets);
-    obs.add(Metric::SpAstarPackSweeps, stats.pack_sweeps);
-    obs.add(Metric::SpAstarPackTargets, stats.pack_targets);
-    obs.add(Metric::SpAstarPackRekeysAvoided, stats.pack_rekeys_avoided);
 
     // On a budget trip, every live slab candidate — plus the Euclidean
     // head popped from the stream but not yet ingested — is unresolved;
@@ -723,101 +704,6 @@ fn resolve_parallel(
     }
     debug_assert!(cand.fully_exact());
     SessionEnd::SourceExact
-}
-
-/// The batched form of full resolution (DESIGN.md §11): the whole
-/// tie-batch rides **one pack sweep per dimension**
-/// ([`rn_sp::AStar::distances_to_pack`]) instead of one `set_target` +
-/// `run` per member per dimension.
-///
-/// Classification follows [`resolve_parallel`]'s conservative-consistent
-/// contract — dominance is checked once on the entry bounds and once by
-/// the caller on the exact vectors, never mid-resolution — so the reported
-/// skyline is identical to the single-target paths. With `par: Some(w)`
-/// the per-dimension sweeps fan across `w` workers
-/// ([`rn_par::par_map_mut`]); each dimension's engine sees the same
-/// destination list either way, so the result and the engine counters are
-/// identical at every worker count.
-fn resolve_batch(
-    slab: &mut [Cand],
-    batch: &[usize],
-    engines: &mut [AStar<'_>],
-    skyline: &[(ObjectId, Vec<f64>)],
-    par: Option<usize>,
-    use_plb: bool,
-    guard: Option<&ExecGuard>,
-) -> Vec<SessionEnd> {
-    // Pre-check: members already dominated on their current bounds are
-    // discarded without joining any pack.
-    let ends: Vec<Option<SessionEnd>> = batch
-        .iter()
-        .map(|&i| {
-            if use_plb && skyline.iter().any(|(_, s)| dominates(s, &slab[i].lb)) {
-                Some(SessionEnd::Discarded)
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    // Open destinations per dimension: `(batch slot, position)` of every
-    // surviving member whose dimension `j` is still inexact.
-    let mut wants: Vec<Vec<(usize, NetPosition)>> = engines.iter().map(|_| Vec::new()).collect();
-    for (slot, &i) in batch.iter().enumerate() {
-        if ends[slot].is_some() {
-            continue;
-        }
-        slab[i].expanded = true;
-        for (j, want) in wants.iter_mut().enumerate() {
-            if !slab[i].exact[j] {
-                want.push((slot, slab[i].pos));
-            }
-        }
-    }
-
-    // One pack sweep per dimension, fanned across workers in par mode.
-    let results: Vec<Vec<f64>> = match par {
-        Some(w) => rn_par::par_map_mut(engines, w, |j, engine| {
-            let positions: Vec<NetPosition> = wants[j].iter().map(|&(_, p)| p).collect();
-            engine.distances_to_pack(&positions)
-        }),
-        None => engines
-            .iter_mut()
-            .enumerate()
-            .map(|(j, engine)| {
-                let positions: Vec<NetPosition> = wants[j].iter().map(|&(_, p)| p).collect();
-                engine.distances_to_pack(&positions)
-            })
-            .collect(),
-    };
-    if guard.is_some_and(|g| g.tripped()) {
-        // A sweep was cut short, so the returned values are upper
-        // bounds; which sweeps completed before the trip is not
-        // recorded, so none of them may be applied. Leave every
-        // surviving member's bounds untouched.
-        return ends
-            .into_iter()
-            .map(|e| e.unwrap_or(SessionEnd::Postponed))
-            .collect();
-    }
-    for (j, dists) in results.into_iter().enumerate() {
-        for (&(slot, _), d) in wants[j].iter().zip(dists) {
-            let i = batch[slot];
-            // Same admissibility contract as the sequential session.
-            #[cfg(feature = "invariant-checks")]
-            assert!(
-                slab[i].lb[j] <= d + rn_geom::EPSILON,
-                "LBC lower-bound admissibility violated: bound {} > d_N {d} in dim {j}",
-                slab[i].lb[j]
-            );
-            slab[i].lb[j] = d;
-            slab[i].exact[j] = true;
-        }
-    }
-
-    ends.into_iter()
-        .map(|e| e.unwrap_or(SessionEnd::SourceExact))
-        .collect()
 }
 
 #[cfg(test)]

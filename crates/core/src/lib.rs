@@ -77,7 +77,7 @@ pub use batch::{BatchEngine, BatchOutcome};
 pub use dynamic::{DynamicConfig, DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
 pub use engine::{
     Algorithm, Completion, Exec, PartialInfo, QueryInput, QueryPlan, SkylineEngine, SkylineResult,
-    SourceStrategy, SweepMode, UnresolvedCandidate,
+    SourceStrategy, UnresolvedCandidate,
 };
 pub use nnq::Aggregate;
 pub use rn_sp::{BoundKind, BoundSpec, LowerBound, OracleBuildStats};

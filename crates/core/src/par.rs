@@ -20,7 +20,7 @@
 
 use crate::ce::CeState;
 use crate::edc::{self, VectorBackend};
-use crate::engine::{AlgoOutput, PartialInfo, QueryInput, SweepMode};
+use crate::engine::{AlgoOutput, PartialInfo, QueryInput};
 use crate::stats::Reporter;
 use rn_graph::{NetPosition, ObjectId};
 use rn_obs::{Event, IncompleteReason, Metric};
@@ -298,15 +298,7 @@ pub(crate) fn run_edc(
             let reply: EdcReply = my_dims
                 .iter()
                 .zip(engines.iter_mut())
-                .map(|(&j, e)| {
-                    let dists: Vec<f64> = match input.sweep {
-                        SweepMode::Batched => e.distances_to_pack(&positions),
-                        SweepMode::SingleTarget => {
-                            positions.iter().map(|&p| e.distance_to(p)).collect()
-                        }
-                    };
-                    (j, dists, e.stats())
-                })
+                .map(|(&j, e)| (j, e.distances_to_pack(&positions), e.stats()))
                 .collect();
             if tx.send(reply).is_err() {
                 break;

@@ -84,17 +84,9 @@ pub enum Metric {
     QueryCandidates,
     /// Skyline size |S| of the final answer.
     QuerySkylineSize,
-    /// A\*: multi-target pack sweeps opened (one shared wavefront serving
-    /// a batch of destinations).
-    SpAstarPackSweeps,
-    /// A\*: destinations resolved through pack sweeps (summed over
-    /// sweeps; `targets / sweeps` is the mean batch width).
+    /// A\*: destinations handed to the list form of distance resolution
+    /// (`AStar::distances_to_pack`, one retarget each).
     SpAstarPackTargets,
-    /// A\*: frontier heap re-keys pack sweeps saved versus single-target
-    /// resolution, which pays one `set_target`-sized re-key per
-    /// destination (pack re-keys and epoch changes spent are counted in
-    /// `SpAstarRetargets`).
-    SpAstarPackRekeysAvoided,
     /// 1 when the query stopped before completing (budget exhausted or
     /// cancelled); 0 for a complete run. Additive across trace merges:
     /// a batch trace counts its incomplete queries.
@@ -133,7 +125,7 @@ pub enum Metric {
     /// edge, or freshly inserted) and that were re-resolved.
     DynCandidatesInvalidated,
     /// Dynamic layer: batches maintained incrementally (only the dirty
-    /// candidates re-resolved via pack A*).
+    /// candidates re-resolved via A*).
     DynRecomputeIncremental,
     /// Dynamic layer: batches where the dirty set crossed the fallback
     /// threshold and the whole vector table was recomputed from scratch.
@@ -180,9 +172,7 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
     "storage.page.faults.warm",
     "query.candidates",
     "query.skyline.size",
-    "sp.astar.pack.sweeps",
     "sp.astar.pack.targets",
-    "sp.astar.pack.rekeys_avoided",
     "query.incomplete",
     "query.unresolved.candidates",
     "storage.io.injected_errors",
@@ -205,7 +195,7 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
 
 impl Metric {
     /// Number of registered metrics.
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 37;
 
     /// Every metric, in export order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -228,9 +218,7 @@ impl Metric {
         Metric::StoragePageFaultsWarm,
         Metric::QueryCandidates,
         Metric::QuerySkylineSize,
-        Metric::SpAstarPackSweeps,
         Metric::SpAstarPackTargets,
-        Metric::SpAstarPackRekeysAvoided,
         Metric::QueryIncomplete,
         Metric::QueryUnresolvedCandidates,
         Metric::StorageIoInjectedErrors,

@@ -21,33 +21,27 @@
 //! target whose edge endpoints are both settled is exact at once and keys
 //! nothing; any other retarget re-keys the live frontier under the new
 //! heuristic *lazily*: it sets the few smallest keys aside and heapifies
-//! the rest only once those are used up (DESIGN.md §11.6). Inside a pack
-//! sweep a mid-sweep retarget walks nothing at all: it shrinks the
-//! heuristic epoch, and an entry is re-keyed only if it reaches the front
-//! keyed by a target that left the epoch (DESIGN.md §11.7).
+//! the rest only once those are used up (DESIGN.md §11.6).
 //!
 //! The heuristic itself is pluggable: every evaluation goes through the
-//! context's [`LowerBound`] seam ([`NetCtx::lb`]). The default Euclidean
-//! bound reproduces the behaviour above bitwise; the precomputed oracles
-//! (`rn_sp::oracle`) are consistent too, so every property — exact
-//! settled `g`, reusable settled maps, monotone `plb` — carries over
-//! unchanged (DESIGN.md §14).
+//! context's [`LowerBound`](crate::LowerBound) seam ([`NetCtx::lb`]). The
+//! default Euclidean bound reproduces the behaviour above bitwise; the
+//! precomputed oracles (`rn_sp::oracle`) are consistent too, so every
+//! property — exact settled `g`, reusable settled maps, monotone `plb` —
+//! carries over unchanged (DESIGN.md §14).
 
 use crate::ctx::NetCtx;
 use crate::nodemap::NodeMap;
-use crate::oracle::{LbTarget, LowerBound};
+use crate::oracle::LbTarget;
 use rn_geom::{OrdF64, Point};
 use rn_graph::{NetPosition, NodeId};
 use rn_storage::AdjRecord;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A frontier entry `(g + h, g, node, minimizer)`, where `minimizer` is
-/// the pack target whose bound gave `h` (the private `pack_argmin`
-/// winner), or 0 for a single target. Entries pop in the total order on
-/// `(g + h, g, node)`, however they are stored: a node has at most one
-/// live entry, so the minimizer never decides an order.
-type Entry = (OrdF64, OrdF64, NodeId, u32);
+/// A frontier entry `(g + h, g, node)`; entries pop in this total order,
+/// however they are stored.
+type Entry = (OrdF64, OrdF64, NodeId);
 
 /// How many of a re-key's smallest entries are set aside sorted, so that a
 /// visit popping at most that many nodes never heapifies the rest.
@@ -69,49 +63,6 @@ struct Target {
     exact: bool,
 }
 
-/// Per-target state inside a multi-target pack sweep
-/// ([`AStar::distances_to_pack`]).
-struct PackTarget {
-    /// The target anchored for lower-bound evaluation: planar point,
-    /// edge endpoints and the along-edge offsets from each (cached so
-    /// the per-pop scan stays arithmetic-only).
-    lbt: LbTarget,
-    /// Best known (upper-bound) path; equals the exact network distance
-    /// once `resolved`.
-    known: f64,
-    /// Whether this target is part of the current *heuristic epoch*: the
-    /// target set new heap keys are computed over. A resolved target
-    /// stays in the epoch (its bound keeps contributing to the pushed `h`,
-    /// which is still a min of consistent heuristics, hence consistent —
-    /// settling stays exact) until a popped node turns out to have been
-    /// steered by a resolved target; only then does the epoch shrink to
-    /// the unresolved targets. Nothing is re-keyed then: an entry whose
-    /// minimizer left the epoch is re-keyed when it reaches the front.
-    in_epoch: bool,
-    resolved: bool,
-}
-
-/// The smallest lower bound from node `n` (at point `p`) to an epoch
-/// target, with that target's index — the pack heuristic `h(n)` for new
-/// heap keys and its minimizer. A min of consistent bounds is consistent.
-/// Ties break to the lowest index; `None` when the epoch is empty or
-/// every bound is infinite.
-fn pack_argmin(lb: &dyn LowerBound, ts: &[PackTarget], n: NodeId, p: Point) -> Option<(f64, u32)> {
-    let mut h = f64::INFINITY;
-    let mut arg = None;
-    for (j, t) in ts.iter().enumerate() {
-        if !t.in_epoch {
-            continue;
-        }
-        let d = lb.node_bound(n, p, &t.lbt);
-        if d < h {
-            h = d;
-            arg = Some((d, j as u32));
-        }
-    }
-    arg
-}
-
 /// A snapshot of one engine's cumulative counters, harvested by the query
 /// coordinators into the observability trace (and shipped across worker
 /// channels by the parallel backends). Plain cumulative values: subtract
@@ -122,16 +73,11 @@ pub struct AStarStats {
     pub expansions: u64,
     /// Exact distances read ([`AStar::confirms`]).
     pub confirms: u64,
-    /// Retargets: `set_target` calls, pack-open re-keys and mid-sweep
-    /// epoch changes ([`AStar::retargets`]).
+    /// [`AStar::set_target`] calls ([`AStar::retargets`]).
     pub retargets: u64,
-    /// Pack sweeps opened ([`AStar::pack_sweeps`]).
-    pub pack_sweeps: u64,
-    /// Destinations resolved through packs ([`AStar::pack_targets`]).
+    /// Destinations handed to [`AStar::distances_to_pack`]
+    /// ([`AStar::pack_targets`]).
     pub pack_targets: u64,
-    /// Re-keys saved versus single-target resolution
-    /// ([`AStar::pack_rekeys_avoided`]).
-    pub pack_rekeys_avoided: u64,
 }
 
 impl AStarStats {
@@ -141,9 +87,7 @@ impl AStarStats {
         self.expansions += other.expansions;
         self.confirms += other.confirms;
         self.retargets += other.retargets;
-        self.pack_sweeps += other.pack_sweeps;
         self.pack_targets += other.pack_targets;
-        self.pack_rekeys_avoided += other.pack_rekeys_avoided;
     }
 }
 
@@ -171,29 +115,14 @@ pub struct AStar<'a> {
     expansions: u64,
     /// Exact distances read via [`AStar::result`].
     confirms: u64,
-    /// Retargets since the last rebase: one per [`AStar::set_target`]
-    /// call (an endpoint-exact one keys nothing), one per pack-open
-    /// re-key, one per mid-sweep epoch change forced by a steered-dead
-    /// pop (which keys nothing).
+    /// [`AStar::set_target`] calls since the last rebase (an
+    /// endpoint-exact one keys nothing).
     retargets: u64,
-    /// Pack sweeps opened via [`AStar::distances_to_pack`].
-    pack_sweeps: u64,
-    /// Destinations resolved through pack sweeps.
+    /// Destinations handed to [`AStar::distances_to_pack`].
     pack_targets: u64,
-    /// Re-keys pack sweeps saved versus single-target resolution (which
-    /// pays one `set_target` re-key per destination).
-    pack_rekeys_avoided: u64,
 }
 
 impl<'a> AStar<'a> {
-    /// Largest number of destinations one pack sweep drives at once;
-    /// [`AStar::distances_to_pack`] splits anything bigger into
-    /// consecutive chunked sweeps. Bounds the nearest-target scan every
-    /// heap push performs (the private `pack_argmin` helper) to a
-    /// constant, keeping the per-expansion cost independent of the
-    /// caller's batch size.
-    pub const MAX_PACK: usize = 16;
-
     /// Starts an A\* engine at `source`.
     pub fn new(ctx: &'a NetCtx<'a>, source: NetPosition) -> Self {
         let mut a = AStar {
@@ -210,9 +139,7 @@ impl<'a> AStar<'a> {
             expansions: 0,
             confirms: 0,
             retargets: 0,
-            pack_sweeps: 0,
             pack_targets: 0,
-            pack_rekeys_avoided: 0,
         };
         let edge = ctx.net.edge(source.edge);
         let (du, dv) = ctx.net.position_endpoint_dists(&source);
@@ -239,9 +166,7 @@ impl<'a> AStar<'a> {
         self.expansions = 0;
         self.confirms = 0;
         self.retargets = 0;
-        self.pack_sweeps = 0;
         self.pack_targets = 0;
-        self.pack_rekeys_avoided = 0;
         let edge = self.ctx.net.edge(source.edge);
         let (du, dv) = self.ctx.net.position_endpoint_dists(&source);
         self.open.insert(edge.u, (du, self.ctx.net.point(edge.u)));
@@ -268,27 +193,15 @@ impl<'a> AStar<'a> {
         self.confirms
     }
 
-    /// Retargets so far: [`AStar::set_target`] calls, pack-open re-keys
-    /// and mid-sweep epoch changes. An endpoint-exact `set_target` and an
-    /// epoch change count here but walk no frontier.
+    /// [`AStar::set_target`] calls so far. An endpoint-exact one counts
+    /// here but walks no frontier.
     pub fn retargets(&self) -> u64 {
         self.retargets
     }
 
-    /// Pack sweeps opened via [`AStar::distances_to_pack`] so far.
-    pub fn pack_sweeps(&self) -> u64 {
-        self.pack_sweeps
-    }
-
-    /// Destinations resolved through pack sweeps so far.
+    /// Destinations handed to [`AStar::distances_to_pack`] so far.
     pub fn pack_targets(&self) -> u64 {
         self.pack_targets
-    }
-
-    /// Heap re-keys pack sweeps saved so far versus resolving each
-    /// destination with its own `set_target` re-key.
-    pub fn pack_rekeys_avoided(&self) -> u64 {
-        self.pack_rekeys_avoided
     }
 
     /// All engine counters in one bundle — what the query coordinators
@@ -299,9 +212,7 @@ impl<'a> AStar<'a> {
             expansions: self.expansions,
             confirms: self.confirms,
             retargets: self.retargets,
-            pack_sweeps: self.pack_sweeps,
             pack_targets: self.pack_targets,
-            pack_rekeys_avoided: self.pack_rekeys_avoided,
         }
     }
 
@@ -321,8 +232,7 @@ impl<'a> AStar<'a> {
         let (known, exact) = self.settled_known(&pos, &lbt);
         let mut plb = known;
         if !exact {
-            let lb = self.ctx.lb;
-            self.rekey(|n, p| Some((lb.node_bound(n, p, &lbt), 0)));
+            self.rekey(&lbt);
             plb = plb.min(self.frontier_key().unwrap_or(f64::INFINITY));
         }
         // An exact target leaves the frontier keyed for an older one; the
@@ -369,10 +279,9 @@ impl<'a> AStar<'a> {
     /// `true` while `e` still describes its node: the node is on the
     /// frontier with `e`'s `g`. A stale entry never becomes live again,
     /// because `g` only falls and settled nodes never reopen.
-    fn is_live(&self, (_, g, n, _): Entry) -> bool {
+    fn is_live(&self, (_, g, n): Entry) -> bool {
         matches!(self.open.get(n), Some(&(cur, _)) if cur == g.get())
     }
-
     /// The smallest live frontier entry, dropping the stale entries it
     /// passes. While a lazy re-key is pending, every `keyed` entry is
     /// larger than every `aside` entry, so the smaller of the first live
@@ -469,7 +378,7 @@ impl<'a> AStar<'a> {
                 return false;
             }
         }
-        let Some((_key, g, n, _)) = self.pop_live() else {
+        let Some((_key, g, n)) = self.pop_live() else {
             return false;
         };
         let g = g.get();
@@ -495,16 +404,16 @@ impl<'a> AStar<'a> {
         if n == t.lbt.ev {
             t.known = t.known.min(g + t.lbt.tv);
         }
-        let (lb, lbt) = (self.ctx.lb, t.lbt);
-        self.expand(n, g, |m, p| Some((lb.node_bound(m, p, &lbt), 0)));
+        let lbt = t.lbt;
+        self.expand(n, g, &lbt);
         true
     }
 
     /// Settles frontier node `n` at its exact distance `g` and relaxes its
     /// out-edges (one counted page access), keying each improved frontier
-    /// entry `g' + h` with the minimizer `h(node, point)` names; `h`
-    /// returning `None` leaves it unkeyed.
-    fn expand(&mut self, n: NodeId, g: f64, h: impl Fn(NodeId, Point) -> Option<(f64, u32)>) {
+    /// entry `g' + h` under the bound to `lbt`.
+    fn expand(&mut self, n: NodeId, g: f64, lbt: &LbTarget) {
+        let lb = self.ctx.lb;
         self.open.remove(n);
         self.dist.insert(n, g);
         self.expansions += 1;
@@ -521,37 +430,28 @@ impl<'a> AStar<'a> {
             };
             if better {
                 self.open.insert(ent.node, (ng, ent.point));
-                if let Some((h, j)) = h(ent.node, ent.point) {
-                    self.heap
-                        .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node, j)));
-                }
+                let h = lb.node_bound(ent.node, ent.point, lbt);
+                self.heap
+                    .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
             }
         }
     }
 
-    /// Re-keys the frontier under heuristic `h` (as in `expand`) without
-    /// heapifying it: one pass over the keys touched since the last re-key
-    /// (compaction), then one pass keying each live frontier node, which
-    /// sets the `LAZY_TOP` smallest entries aside, sorted, and leaves the
-    /// rest in `keyed` for `peek_live` to heapify on demand. Pops
+    /// Re-keys the frontier under the bound to `lbt` (as in `expand`)
+    /// without heapifying it: one pass over the keys touched since the last
+    /// re-key (compaction), then one pass keying each live frontier node,
+    /// which sets the `LAZY_TOP` smallest entries aside, sorted, and leaves
+    /// the rest in `keyed` for `peek_live` to heapify on demand. Pops
     /// follow the total order on `(key, g, node)`, so results do not
     /// depend on how the frontier is stored.
-    fn rekey(&mut self, h: impl Fn(NodeId, Point) -> Option<(f64, u32)>) {
+    fn rekey(&mut self, lbt: &LbTarget) {
         self.open.compact();
         self.heap.clear();
         self.keyed.clear();
         self.aside.clear();
-        #[cfg(feature = "invariant-checks")]
-        let mut unkeyed = 0usize;
+        let lb = self.ctx.lb;
         for (n, &(g, p)) in self.open.iter() {
-            let Some((h, j)) = h(n, p) else {
-                #[cfg(feature = "invariant-checks")]
-                {
-                    unkeyed += 1;
-                }
-                continue;
-            };
-            let e = (OrdF64::new(g + h), OrdF64::new(g), n, j);
+            let e = (OrdF64::new(g + lb.node_bound(n, p, lbt)), OrdF64::new(g), n);
             if self.aside.len() == LAZY_TOP {
                 if e > self.aside[0] {
                     self.keyed.push(Reverse(e));
@@ -562,11 +462,11 @@ impl<'a> AStar<'a> {
             let at = self.aside.partition_point(|a| *a > e);
             self.aside.insert(at, e);
         }
-        // Contract: one entry per live frontier node `h` keyed (all of them
-        // for a single target); a stale or duplicated key shows here.
+        // Contract: one entry per live frontier node; a stale or
+        // duplicated key shows here.
         #[cfg(feature = "invariant-checks")]
         assert_eq!(
-            self.keyed.len() + self.aside.len() + unkeyed,
+            self.keyed.len() + self.aside.len(),
             self.open.len(),
             "A* re-key does not match the live frontier"
         );
@@ -584,215 +484,13 @@ impl<'a> AStar<'a> {
         self.run()
     }
 
-    /// Resolves a whole *pack* of destinations in one expansion sweep and
-    /// returns their exact network distances, in input order.
-    ///
-    /// The sweep runs under `h(v) = min over epoch targets of d_E(v, t)`;
-    /// a min of consistent heuristics is consistent, so settled `g`
-    /// values stay exact and the settled map remains reusable. Where k
-    /// single-target resolutions pay k frontier re-keys, a pack pays one
-    /// re-key up front. When a popped node was steered by an
-    /// already-resolved target, the sweep retargets by shrinking the
-    /// heuristic epoch (the private `PackTarget::in_epoch` flag) instead
-    /// of walking the frontier: an entry keyed by a target that left the
-    /// epoch is re-keyed only when it reaches the front, and the sweep
-    /// pops exactly the entries an eager re-key would (DESIGN.md §11.7).
-    /// Targets whose edge endpoints are both already settled confirm
-    /// instantly with zero expansions and zero re-keys.
-    ///
-    /// Any current single-target state is abandoned ([`AStar::target`]
-    /// returns `None` afterwards); the settled map, frontier and all
-    /// counters carry over in both directions.
-    ///
-    /// Packs larger than [`AStar::MAX_PACK`] are processed as consecutive
-    /// chunked sweeps: every heap push pays an O(|epoch|) nearest-target
-    /// scan, so an unbounded pack would trade the saved re-keys for a
-    /// per-expansion scan cost that grows with the batch. Chunking caps
-    /// that scan at a constant while still amortizing each chunk's
-    /// destinations over one shared re-key; distances are exact either
-    /// way, so the split never changes results.
+    /// The exact network distances to `positions`, in input order: the
+    /// list form of [`AStar::distance_to`], one retarget per destination
+    /// on the same settled map. Counts every destination in
+    /// [`AStar::pack_targets`].
     pub fn distances_to_pack(&mut self, positions: &[NetPosition]) -> Vec<f64> {
-        if positions.len() > Self::MAX_PACK {
-            let mut out = Vec::with_capacity(positions.len());
-            for chunk in positions.chunks(Self::MAX_PACK) {
-                out.extend(self.distances_to_pack(chunk));
-            }
-            return out;
-        }
-        if positions.is_empty() {
-            return Vec::new();
-        }
-        self.pack_sweeps += 1;
         self.pack_targets += positions.len() as u64;
-        self.target = None;
-
-        let mut ts = self.pack_of(positions);
-        let retargets = self.retargets;
-        // A pack answered wholly from settled state skips the sweep: no
-        // re-key, no expansion, the frontier keeps its previous keys.
-        if ts.iter().any(|t| !t.resolved) {
-            // One shared re-key for the whole pack, where k single-target
-            // resolutions would pay k.
-            self.retargets += 1;
-            self.rekey_pack(&mut ts);
-            #[cfg(feature = "invariant-checks")]
-            let mut last_popped = 0.0f64;
-            while let Some((_key, ..)) = self.pack_step(&mut ts) {
-                // Same contract as the single-target path: keys within a
-                // heuristic epoch pop in non-decreasing order, and an
-                // epoch change only grows keys (the heuristic min ranges
-                // over fewer targets), so popped keys are monotone across
-                // the sweep.
-                #[cfg(feature = "invariant-checks")]
-                {
-                    assert!(
-                        _key.get() + rn_geom::EPSILON >= last_popped,
-                        "pack heap-pop monotonicity violated: popped key {} < previous {}",
-                        _key.get(),
-                        last_popped
-                    );
-                    last_popped = last_popped.max(_key.get());
-                }
-            }
-        }
-
-        let k = ts.len() as u64;
-        self.confirms += k;
-        // Legacy single-target resolution pays one `set_target` re-key
-        // per destination; whatever the sweep did not spend is saved.
-        self.pack_rekeys_avoided += k.saturating_sub(self.retargets - retargets);
-        ts.into_iter().map(|t| t.known).collect()
-    }
-
-    /// The pack's per-target state, each target seeded from settled state
-    /// and resolved at once when both its edge endpoints are settled. The
-    /// epoch is every unresolved target.
-    fn pack_of(&self, positions: &[NetPosition]) -> Vec<PackTarget> {
-        positions
-            .iter()
-            .map(|&pos| {
-                let lbt = LbTarget::of(self.ctx.net, &pos);
-                let (known, resolved) = self.settled_known(&pos, &lbt);
-                PackTarget {
-                    lbt,
-                    known,
-                    in_epoch: !resolved,
-                    resolved,
-                }
-            })
-            .collect()
-    }
-
-    /// One step of a pack sweep: marks the targets the frontier now
-    /// proves resolved, then settles the front entry. Returns the settled
-    /// entry, or `None` once every target is resolved or the budget
-    /// trips.
-    fn pack_step(&mut self, ts: &mut [PackTarget]) -> Option<Entry> {
-        let fmin = self.pack_front(ts).map(|(key, ..)| key.get());
-        for t in ts.iter_mut() {
-            if t.resolved {
-                continue;
-            }
-            // `fmin` under the epoch heuristic lower-bounds every frontier
-            // continuation to every pack target (the epoch min ranges
-            // over a superset), so `known <= fmin` proves exactness; so do
-            // two settled target-edge endpoints.
-            let exact = self.dist.contains(t.lbt.eu) && self.dist.contains(t.lbt.ev);
-            t.resolved = exact
-                || match fmin {
-                    None => true,
-                    Some(f) => t.known <= f,
-                };
-        }
-        if ts.iter().all(|t| t.resolved) {
-            return None;
-        }
-        // Budget check once per sweep pop. On a trip, unresolved targets
-        // keep `known` as an upper bound (possibly infinite); callers must
-        // consult the guard before trusting the vector.
-        if let Some(guard) = self.ctx.guard {
-            if !guard.tick_expansion(self.ctx.store.stats().faults()) {
-                return None;
-            }
-        }
-        // `pack_front` made the front current, so its minimizer is the
-        // epoch minimizer at `n`.
-        let e @ (_, g, n, j) = self.pop_live()?;
-        #[cfg(feature = "invariant-checks")]
-        assert!(ts[j as usize].in_epoch, "pack pop keyed off the epoch");
-        let g = g.get();
-        // Was this pop steered by a target that has since resolved?
-        // Settling it is still exact (epoch keys are homogeneous), but the
-        // wavefront is now wasting expansions on a dead destination —
-        // shrink the epoch after this settle.
-        let steered_dead = ts[j as usize].resolved;
-
-        for t in ts.iter_mut() {
-            if t.resolved {
-                continue;
-            }
-            if n == t.lbt.eu {
-                t.known = t.known.min(g + t.lbt.tu);
-            }
-            if n == t.lbt.ev {
-                t.known = t.known.min(g + t.lbt.tv);
-            }
-        }
-
-        let lb = self.ctx.lb;
-        self.expand(n, g, |m, p| pack_argmin(lb, ts, m, p));
-
-        if steered_dead {
-            // A new epoch over the unresolved targets. It walks nothing:
-            // `pack_front` re-keys entries as they reach the front.
-            self.retargets += 1;
-            for t in ts.iter_mut() {
-                t.in_epoch = !t.resolved;
-            }
-        }
-        Some(e)
-    }
-
-    /// The smallest live frontier entry under the current epoch. An entry
-    /// whose minimizer is still in the epoch keeps its key: a min over a
-    /// subset that still holds the minimizer is the same value, with the
-    /// same lowest-index tie-break. An entry whose minimizer left the
-    /// epoch has a key no larger than its current one; it is popped,
-    /// re-keyed and pushed back until the front entry is current, which
-    /// is then the entry an eager re-key of the whole frontier would pop.
-    fn pack_front(&mut self, ts: &[PackTarget]) -> Option<Entry> {
-        loop {
-            let e @ (_, g, n, j) = self.peek_live()?;
-            if ts[j as usize].in_epoch {
-                return Some(e);
-            }
-            self.pop_live();
-            if let Some(&(_, p)) = self.open.get(n) {
-                if let Some((h, j)) = pack_argmin(self.ctx.lb, ts, n, p) {
-                    self.heap.push(Reverse((OrdF64::new(g.get() + h), g, n, j)));
-                }
-            }
-        }
-    }
-
-    /// Re-keys the frontier under the pack heuristic for a newly opened
-    /// pack, whose epoch is every target `pack_of` left unresolved.
-    /// Endpoint frontier entries also tighten `known` (tentative `g`
-    /// values are valid path lengths, hence valid upper bounds).
-    fn rekey_pack(&mut self, ts: &mut [PackTarget]) {
-        let lb = self.ctx.lb;
-        self.rekey(|n, p| pack_argmin(lb, ts, n, p));
-        for t in ts.iter_mut() {
-            if t.resolved {
-                continue;
-            }
-            if let Some(&(g, _)) = self.open.get(t.lbt.eu) {
-                t.known = t.known.min(g + t.lbt.tu);
-            }
-            if let Some(&(g, _)) = self.open.get(t.lbt.ev) {
-                t.known = t.known.min(g + t.lbt.tv);
-            }
-        }
+        positions.iter().map(|&pos| self.distance_to(pos)).collect()
     }
 }
 
@@ -893,8 +591,8 @@ mod tests {
             "tripped known {bound} < exact {exact}"
         );
 
-        // Pack sweep: must break out of the sweep loop, returning sound
-        // upper bounds for whatever did not resolve.
+        // The list form: every value the tripped engine returns is still a
+        // sound upper bound.
         let guard2 = rn_obs::ExecGuard::new(&budget, store.stats().faults());
         let ctx2 = NetCtx::with_guard(&g, &store, &mid, Some(&guard2));
         let mut sweep = AStar::new(&ctx2, src);
@@ -1044,8 +742,9 @@ mod tests {
 
     #[test]
     fn pack_matches_single_target_bitwise() {
-        // The tentpole contract: one pack sweep returns the same f64
-        // bits as k independent single-target resolutions.
+        // The list form is `distance_to` per destination, in order: the
+        // same f64 bits, expansions and retargets as k single-target
+        // resolutions.
         for seed in 0..6u64 {
             let g = random_net(70, seed + 300);
             let store = NetworkStore::build(&g);
@@ -1069,22 +768,8 @@ mod tests {
                     want
                 );
             }
-            // A deferred re-key wastes at most one steered-dead pop per
-            // re-key event, so the pack can exceed the single-target
-            // expansion count by at most its re-key count.
-            assert!(
-                packed.expansions() <= single.expansions() + packed.retargets(),
-                "seed {seed}: pack expanded {} > single-target {} + {} re-keys",
-                packed.expansions(),
-                single.expansions(),
-                packed.retargets()
-            );
-            assert!(
-                packed.retargets() < single.retargets(),
-                "seed {seed}: pack re-keyed {} >= single-target {}",
-                packed.retargets(),
-                single.retargets()
-            );
+            assert_eq!(packed.expansions(), single.expansions(), "seed {seed}");
+            assert_eq!(packed.retargets(), single.retargets(), "seed {seed}");
         }
     }
 
@@ -1112,9 +797,9 @@ mod tests {
 
     #[test]
     fn pack_on_settled_state_confirms_without_expansion() {
-        // After a sweep has settled the whole component, a second pack
-        // answers from the endpoint-exactness shortcut: zero expansions,
-        // zero re-keys, no sweep work at all.
+        // After the whole component is settled, a second pack answers
+        // every destination from the endpoint-exactness shortcut: zero
+        // expansions, and every retarget keys nothing.
         let g = random_net(50, 9);
         let store = NetworkStore::build(&g);
         let mid = MiddleLayer::build(&g, &[]);
@@ -1124,24 +809,28 @@ mod tests {
         let targets: Vec<NetPosition> = (0..6).map(|_| rand_pos(&g, &mut rng)).collect();
 
         let mut astar = AStar::new(&ctx, src);
-        // Settle everything reachable by resolving an unreachable-ish far
-        // sweep: a pack over every target exhausts nothing, so force the
-        // frontier empty by resolving each target once first.
         let first = astar.distances_to_pack(&targets);
-        // Drain the remaining frontier so every node is settled.
-        while let Some((_, gk, n, _)) = astar.pop_live() {
-            astar.expand(n, gk.get(), |_, _| Some((0.0, 0)));
+        // Drain the remaining frontier so every node is settled, keyed
+        // under one consistent heuristic throughout.
+        let lbt = LbTarget::of(&g, &src);
+        astar.rekey(&lbt);
+        while let Some((_, gk, n)) = astar.pop_live() {
+            astar.expand(n, gk.get(), &lbt);
         }
         let exp_before = astar.expansions();
-        let rt_before = astar.retargets();
+        let keys = astar.open.key_list_len();
+        assert!(keys > astar.open.len(), "removed keys await a compaction");
         let again = astar.distances_to_pack(&targets);
         assert_eq!(
             astar.expansions(),
             exp_before,
             "no expansions on settled state"
         );
-        assert_eq!(astar.retargets(), rt_before, "no re-key on settled state");
-        assert_eq!(astar.pack_sweeps(), 2);
+        assert_eq!(
+            astar.open.key_list_len(),
+            keys,
+            "no re-key on settled state"
+        );
         assert_eq!(astar.pack_targets(), 2 * targets.len() as u64);
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(
@@ -1163,26 +852,21 @@ mod tests {
 
         let mut astar = AStar::new(&ctx, src);
         assert!(astar.distances_to_pack(&[]).is_empty());
-        assert_eq!(astar.pack_sweeps(), 0, "empty pack opens no sweep");
+        assert_eq!(astar.retargets(), 0, "an empty pack sets no target");
 
         let targets: Vec<NetPosition> = (0..5).map(|_| rand_pos(&g, &mut rng)).collect();
         let d = astar.distances_to_pack(&targets);
         assert_eq!(d.len(), 5);
-        assert_eq!(astar.pack_sweeps(), 1);
         assert_eq!(astar.pack_targets(), 5);
+        assert_eq!(astar.retargets(), 5, "one retarget per destination");
         assert_eq!(astar.confirms(), 5);
-        assert!(
-            astar.target().is_none(),
-            "a pack leaves no single-target state"
-        );
         // Self-distance inside a pack is zero.
         let selfd = astar.distances_to_pack(&[src]);
         assert!(approx_eq(selfd[0], 0.0));
-        // Rebase resets the pack counters with everything else.
+        // Rebase resets the pack counter with everything else.
         astar.rebase(src);
-        assert_eq!(astar.pack_sweeps(), 0);
         assert_eq!(astar.pack_targets(), 0);
-        assert_eq!(astar.pack_rekeys_avoided(), 0);
+        assert_eq!(astar.retargets(), 0);
     }
 
     #[test]
@@ -1213,8 +897,8 @@ mod tests {
     fn many_rebase_cycles_match_fresh_engines() {
         // Regression for the generation-stamped O(1) NodeMap reset:
         // hundreds of rebase cycles on one engine must behave exactly
-        // like a fresh engine per source — pack sweeps and single-target
-        // runs alike riding the reused maps.
+        // like a fresh engine per source — packs and single-target runs
+        // alike riding the reused maps.
         let g = random_net(40, 29);
         let store = NetworkStore::build(&g);
         let mid = MiddleLayer::build(&g, &[]);
@@ -1318,22 +1002,18 @@ mod tests {
 
     /// After a re-key, before its first pop: the `open` key list holds only
     /// live nodes, and the aside entries, the keyed buffer and the heap
-    /// together hold one entry per live frontier node (all of them for a
-    /// single target), each carrying the node's current `g`.
-    fn assert_live_rekey(a: &AStar, single: bool) {
+    /// together hold one entry per live frontier node, each carrying the
+    /// node's current `g`.
+    fn assert_live_rekey(a: &AStar) {
         assert_eq!(
             a.open.key_list_len(),
             a.open.len(),
             "removed keys survived the re-key"
         );
         let entries = frontier_entries(a);
-        if single {
-            assert_eq!(entries.len(), a.open.len(), "single-target frontier");
-        } else {
-            assert!(entries.len() <= a.open.len(), "pack frontier");
-        }
+        assert_eq!(entries.len(), a.open.len(), "one entry per frontier node");
         let mut nodes: Vec<NodeId> = Vec::new();
-        for (_, g, n, _) in &entries {
+        for (_, g, n) in &entries {
             assert_eq!(
                 a.open.get(*n).map(|&(d, _)| d),
                 Some(g.get()),
@@ -1360,7 +1040,7 @@ mod tests {
             assert_eq!(a.open.key_list_len(), keys, "exact retarget compacted");
             assert_eq!(frontier_entries(a), entries, "exact retarget keyed");
         } else {
-            assert_live_rekey(a, true);
+            assert_live_rekey(a);
         }
         exact
     }
@@ -1395,27 +1075,6 @@ mod tests {
                 let want = dij.distance_to_position(&targets[i]);
                 let got = astar.run();
                 assert!(approx_eq(got, want), "seed {seed}: {got} vs {want}");
-
-                let pack: Vec<NetPosition> = (0..4).map(|_| rand_pos(&g, &mut rng)).collect();
-                let mut ts: Vec<PackTarget> = pack
-                    .iter()
-                    .map(|pos| PackTarget {
-                        lbt: LbTarget::of(&g, pos),
-                        known: f64::INFINITY,
-                        in_epoch: true,
-                        resolved: false,
-                    })
-                    .collect();
-                saw_removed_keys |= astar.open.key_list_len() > astar.open.len();
-                astar.rekey_pack(&mut ts);
-                assert_live_rekey(&astar, false);
-                for (j, got) in astar.distances_to_pack(&pack).into_iter().enumerate() {
-                    let want = dij.distance_to_position(&pack[j]);
-                    assert!(
-                        approx_eq(got, want),
-                        "seed {seed} pack[{j}]: {got} vs {want}"
-                    );
-                }
             }
         }
         assert!(saw_removed_keys, "the walk never had removed keys to drop");
@@ -1429,7 +1088,7 @@ mod tests {
             .iter()
             .map(|(n, &(g, p))| {
                 let key = g + a.ctx.lb.node_bound(n, p, lbt);
-                (OrdF64::new(key), OrdF64::new(g), n, 0)
+                (OrdF64::new(key), OrdF64::new(g), n)
             })
             .min()
     }
@@ -1438,7 +1097,7 @@ mod tests {
     fn pops_follow_a_brute_frontier_scan() {
         // Random interleavings of retargets over a small target pool
         // (revisits make endpoint-exact retargets), a few pops per visit,
-        // plb/is_resolved probes, pack sweeps and rebases: every pop must
+        // plb/is_resolved probes, packs and rebases: every pop must
         // settle the minimum live `(key, g, node)` of a brute scan.
         use crate::oracle::AltOracle;
         let (mut exact_visits, mut heapified_visits) = (0u32, 0u32);
@@ -1495,7 +1154,7 @@ mod tests {
                         let before = astar.expansions();
                         assert_eq!(astar.advance(), will_pop);
                         match expect {
-                            Some((_, gk, n, _)) => {
+                            Some((_, gk, n)) => {
                                 assert_eq!(astar.expansions(), before + 1);
                                 assert_eq!(
                                     astar.dist.get_copied(n).map(f64::to_bits),
@@ -1522,107 +1181,6 @@ mod tests {
         }
         assert!(exact_visits > 0, "no endpoint-exact retarget exercised");
         assert!(heapified_visits > 0, "no on-demand heapify exercised");
-    }
-
-    /// The smallest `(key, g, node, minimizer)` over `open` under the
-    /// current epoch's pack heuristic, by brute scan: `g` plus the
-    /// smallest in-epoch bound, whose lowest target index is the
-    /// minimizer. Nodes every in-epoch bound puts at infinity are unkeyed.
-    fn brute_pack_min(a: &AStar, ts: &[PackTarget]) -> Option<Entry> {
-        a.open
-            .iter()
-            .filter_map(|(n, &(g, p))| {
-                let (h, j) = ts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.in_epoch)
-                    .map(|(j, t)| (OrdF64::new(a.ctx.lb.node_bound(n, p, &t.lbt)), j as u32))
-                    .min()?;
-                let h = h.get();
-                h.is_finite()
-                    .then(|| (OrdF64::new(g + h), OrdF64::new(g), n, j))
-            })
-            .min()
-    }
-
-    #[test]
-    fn pack_pops_follow_a_brute_epoch_scan() {
-        // Packs of 1..=MAX_PACK targets drawn from a small pool (so some
-        // are already settled), interleaved with single-target visits and
-        // rebases: every pack pop must settle the minimum live
-        // `(key, g, node)` of a brute scan under the current epoch, and
-        // carry that scan's lowest-index minimizer.
-        use crate::oracle::AltOracle;
-        let (mut after_epoch, mut stale_fronts, mut settled) = (0u32, 0u32, 0u32);
-        for seed in 0..4u64 {
-            let g = random_net(70, seed + 1100);
-            let store = NetworkStore::build(&g);
-            let mid = MiddleLayer::build(&g, &[]);
-            let alt = AltOracle::build(&g, &store, &mid, 6);
-            let euclid_ctx = NetCtx::new(&g, &store, &mid);
-            let alt_ctx = NetCtx::new(&g, &store, &mid).with_bound(&alt);
-            for ctx in [&euclid_ctx, &alt_ctx] {
-                let mut rng = StdRng::seed_from_u64(seed + 23);
-                let pool: Vec<NetPosition> = (0..24).map(|_| rand_pos(&g, &mut rng)).collect();
-                let mut src = rand_pos(&g, &mut rng);
-                let mut dij = Dijkstra::new(ctx, src);
-                let mut astar = AStar::new(ctx, src);
-                for _ in 0..120 {
-                    match rng.random_range(0..6) {
-                        0 => {
-                            src = rand_pos(&g, &mut rng);
-                            astar.rebase(src);
-                            dij = Dijkstra::new(ctx, src);
-                        }
-                        1 | 2 => {
-                            astar.set_target(pool[rng.random_range(0..pool.len())]);
-                            for _ in 0..rng.random_range(0..=8) {
-                                astar.advance();
-                            }
-                        }
-                        _ => {}
-                    }
-                    // `distances_to_pack`'s sweep, one step at a time.
-                    let pack: Vec<NetPosition> = (0..rng.random_range(1..=AStar::MAX_PACK))
-                        .map(|_| pool[rng.random_range(0..pool.len())])
-                        .collect();
-                    astar.target = None;
-                    let mut ts = astar.pack_of(&pack);
-                    settled += ts.iter().filter(|t| t.resolved).count() as u32;
-                    if ts.iter().any(|t| !t.resolved) {
-                        astar.rekey_pack(&mut ts);
-                        let mut new_epoch = false;
-                        loop {
-                            let front = astar.peek_live();
-                            stale_fronts +=
-                                u32::from(front.is_some_and(|e| !ts[e.3 as usize].in_epoch));
-                            let brute = brute_pack_min(&astar, &ts);
-                            let retargets = astar.retargets();
-                            let Some(popped) = astar.pack_step(&mut ts) else {
-                                break;
-                            };
-                            assert_eq!(Some(popped), brute, "seed {seed}: pack pop off the scan");
-                            after_epoch += u32::from(new_epoch);
-                            new_epoch = astar.retargets() > retargets;
-                        }
-                    }
-                    for (t, pos) in ts.iter().zip(&pack) {
-                        let want = dij.distance_to_position(pos);
-                        assert!(
-                            approx_eq(t.known, want),
-                            "seed {seed}: {} vs {want}",
-                            t.known
-                        );
-                    }
-                }
-            }
-        }
-        assert!(after_epoch > 0, "no pop right after an epoch change");
-        assert!(
-            stale_fronts > 0,
-            "no entry reached the front keyed off-epoch"
-        );
-        assert!(settled > 0, "no pack target was settled at open");
     }
 
     #[test]

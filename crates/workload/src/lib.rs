@@ -35,5 +35,5 @@ pub use objects::{generate_objects, read_positions, write_positions};
 pub use presets::{au_like, ca_like, na_like, OracleKnobs, Preset};
 pub use queries::generate_queries;
 pub use radial::{generate_radial_network, RadialConfig};
-pub use stream::{stream_build, StreamBuildReport, StreamNetConfig};
+pub use stream::{stream_build, BudgetExceeded, StreamBuildReport, StreamNetConfig};
 pub use updates::{ChurnConfig, UpdateStream};

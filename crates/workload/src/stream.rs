@@ -63,8 +63,9 @@ pub struct StreamNetConfig {
     pub max_stretch: f64,
     /// Nodes sorted per in-memory chunk before spilling a run.
     pub chunk_nodes: usize,
-    /// Optional cap on peak staging bytes; the build panics if the
-    /// external sort would exceed it. `None` means metered but unchecked.
+    /// Optional cap on peak staging bytes; the build returns
+    /// [`BudgetExceeded`] if the external sort would exceed it. `None`
+    /// means metered but unchecked.
     pub budget_bytes: Option<usize>,
 }
 
@@ -136,18 +137,48 @@ pub struct StreamBuildReport {
     pub budget_bytes: Option<usize>,
 }
 
+/// A [`stream_build`] phase would stage more bytes than
+/// [`StreamNetConfig::budget_bytes`] allows; the build stops before it
+/// allocates them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BudgetExceeded {
+    /// The phase that would overrun: `"external-sort chunk"` or
+    /// `"run merge"`.
+    pub phase: &'static str,
+    /// Staging bytes the phase needs.
+    pub staged: usize,
+    /// The configured budget.
+    pub budget: usize,
+}
+
+impl std::fmt::Display for BudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} needs {} staging bytes, over the {}-byte budget; \
+             lower chunk_nodes or raise the budget",
+            self.phase, self.staged, self.budget
+        )
+    }
+}
+
+impl std::error::Error for BudgetExceeded {}
+
 /// Builds the network described by `config` straight into a
 /// [`NetworkStore`] with pool shape `pool`, via the bounded-memory
 /// external sort described in the module docs.
 ///
+/// # Errors
+/// [`BudgetExceeded`] when `config.budget_bytes` is set and a phase's
+/// staging would exceed it.
+///
 /// # Panics
-/// Panics when the grid is degenerate (fewer than 2x2 junctions), when
-/// `chunk_nodes` is zero, or when `config.budget_bytes` is set and the
-/// staging peak would exceed it.
+/// Panics when the grid is degenerate (fewer than 2x2 junctions) or when
+/// `chunk_nodes` is zero.
 pub fn stream_build(
     config: &StreamNetConfig,
     pool: PoolConfig,
-) -> (NetworkStore, StreamBuildReport) {
+) -> Result<(NetworkStore, StreamBuildReport), BudgetExceeded> {
     assert!(
         config.cols >= 2 && config.rows >= 2,
         "grid must be at least 2x2"
@@ -160,7 +191,7 @@ pub fn stream_build(
     // 4 KB scratch pages. Staging: one chunk buffer + one page buffer.
     let chunk = config.chunk_nodes.min(n);
     let mut peak = chunk * SPILL_REC + PAGE_SIZE;
-    enforce_budget(config, peak, "external-sort chunk");
+    enforce_budget(config, peak, "external-sort chunk")?;
     let mut scratch = Disk::new();
     let mut runs: Vec<RunCursor> = Vec::new();
     let mut keys: Vec<(u64, u32)> = Vec::with_capacity(chunk);
@@ -200,7 +231,7 @@ pub fn stream_build(
         + runs.len() * std::mem::size_of::<Reverse<(u64, u32, usize)>>()
         + builder.staged_bytes();
     peak = peak.max(merge_staging);
-    enforce_budget(config, merge_staging, "run merge");
+    enforce_budget(config, merge_staging, "run merge")?;
 
     let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::with_capacity(runs.len());
     for (ri, run) in runs.iter_mut().enumerate() {
@@ -234,16 +265,21 @@ pub fn stream_build(
         peak_staging_bytes: peak,
         budget_bytes: config.budget_bytes,
     };
-    (builder.finish(), report)
+    Ok((builder.finish(), report))
 }
 
-fn enforce_budget(config: &StreamNetConfig, staged: usize, phase: &str) {
-    if let Some(budget) = config.budget_bytes {
-        assert!(
-            staged <= budget,
-            "{phase} needs {staged} staging bytes, over the {budget}-byte budget; \
-             lower chunk_nodes or raise the budget"
-        );
+fn enforce_budget(
+    config: &StreamNetConfig,
+    staged: usize,
+    phase: &'static str,
+) -> Result<(), BudgetExceeded> {
+    match config.budget_bytes {
+        Some(budget) if staged > budget => Err(BudgetExceeded {
+            phase,
+            staged,
+            budget,
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -431,7 +467,7 @@ mod tests {
     #[test]
     fn counts_are_exact_and_adjacency_is_symmetric() {
         let cfg = small();
-        let (store, report) = stream_build(&cfg, PoolConfig::default());
+        let (store, report) = stream_build(&cfg, PoolConfig::default()).expect("within budget");
         assert_eq!(report.nodes, 768);
         assert_eq!(store.node_count(), 768);
         // Every (edge, endpoint) pair must appear exactly twice — once in
@@ -459,7 +495,7 @@ mod tests {
     #[test]
     fn the_grid_is_connected_by_construction() {
         let cfg = small();
-        let (store, _) = stream_build(&cfg, PoolConfig::default());
+        let (store, _) = stream_build(&cfg, PoolConfig::default()).expect("within budget");
         let n = store.node_count();
         let mut seen = vec![false; n];
         let mut queue = VecDeque::from([NodeId(0)]);
@@ -486,8 +522,8 @@ mod tests {
             chunk_nodes: 1 << 20,
             ..small()
         };
-        let (a, ra) = stream_build(&coarse, PoolConfig::default());
-        let (b, rb) = stream_build(&one_run, PoolConfig::default());
+        let (a, ra) = stream_build(&coarse, PoolConfig::default()).expect("within budget");
+        let (b, rb) = stream_build(&one_run, PoolConfig::default()).expect("within budget");
         assert!(ra.runs > 1 && rb.runs == 1);
         assert_eq!(ra.pages, rb.pages);
         assert_eq!(scan(&a), scan(&b));
@@ -496,15 +532,15 @@ mod tests {
     #[test]
     fn builds_are_deterministic_and_seeds_differ() {
         let cfg = small();
-        let (a, ra) = stream_build(&cfg, PoolConfig::default());
-        let (b, rb) = stream_build(&cfg, PoolConfig::default());
+        let (a, ra) = stream_build(&cfg, PoolConfig::default()).expect("within budget");
+        let (b, rb) = stream_build(&cfg, PoolConfig::default()).expect("within budget");
         assert_eq!(ra, rb);
         assert_eq!(scan(&a), scan(&b));
         let other = StreamNetConfig {
             seed: cfg.seed + 1,
             ..cfg
         };
-        let (c, _) = stream_build(&other, PoolConfig::default());
+        let (c, _) = stream_build(&other, PoolConfig::default()).expect("within budget");
         assert_ne!(scan(&a), scan(&c));
     }
 
@@ -514,7 +550,7 @@ mod tests {
             budget_bytes: Some(1 << 20),
             ..small()
         };
-        let (_, report) = stream_build(&cfg, PoolConfig::default());
+        let (_, report) = stream_build(&cfg, PoolConfig::default()).expect("within budget");
         assert!(report.peak_staging_bytes > 0);
         assert!(report.peak_staging_bytes <= (1 << 20));
         assert_eq!(report.budget_bytes, Some(1 << 20));
@@ -523,13 +559,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "budget")]
-    fn an_impossible_budget_panics_instead_of_swapping() {
+    fn an_impossible_budget_is_an_error_instead_of_swapping() {
         let cfg = StreamNetConfig {
             budget_bytes: Some(1024),
             ..small()
         };
-        let _ = stream_build(&cfg, PoolConfig::default());
+        let err = stream_build(&cfg, PoolConfig::default()).err();
+        assert!(
+            matches!(
+                err,
+                Some(BudgetExceeded {
+                    phase: "external-sort chunk",
+                    staged,
+                    budget: 1024,
+                }) if staged > 1024
+            ),
+            "{err:?}"
+        );
+        let msg = err.map(|e| e.to_string()).unwrap_or_default();
+        assert!(msg.contains("over the 1024-byte budget"), "{msg}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! subset of their values, and this gate re-reads the freshly-written
 //! reports and fails on regression:
 //!
-//! * **deterministic counters** (expansions, retargets, pack sweeps,
-//!   page faults, skyline sizes) carry `tolerance_pct: 0` — they are
+//! * **deterministic counters** (expansions, retargets, page faults,
+//!   skyline sizes) carry `tolerance_pct: 0` — they are
 //!   bitwise reproducible (DESIGN.md §10), so *any* drift is a real
 //!   behaviour change and must be an intentional, reviewed baseline
 //!   update;
@@ -17,7 +17,7 @@
 //!
 //! Everything here is hand-rolled on purpose: the workspace is offline
 //! (no serde_json), and the gate needs only numbers at keyed paths, e.g.
-//! `series[algo=EDC].batched.expansions`.
+//! `series[algo=EDC].expansions`.
 
 use std::fmt;
 use std::path::Path;
@@ -232,7 +232,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 /// Resolves a dotted path with `[key=value]` array selectors, e.g.
-/// `series[algo=EDC].batched.expansions` or
+/// `series[algo=EDC].expansions` or
 /// `series[algo=CE].workers[workers=8].modeled_speedup`.
 pub fn lookup<'a>(root: &'a Json, path: &str) -> Result<&'a Json, String> {
     let mut cur = root;
@@ -490,15 +490,15 @@ mod tests {
         let report = parse_json(&body).expect("valid report");
         let check = GateCheck {
             file: "BENCH_4.json".into(),
-            path: "series[algo=EDC].batched.expansions".into(),
+            path: "series[algo=EDC].expansions".into(),
             // One off from the true deterministic counter.
-            expected: 12217.0,
+            expected: 12213.0,
             tolerance_pct: 0.0,
         };
         assert!(!evaluate(&check, &report).pass());
         // Sanity: the unperturbed value passes exactly.
         let truth = GateCheck {
-            expected: 12216.0,
+            expected: 12212.0,
             ..check
         };
         assert!(evaluate(&truth, &report).pass());

@@ -21,7 +21,7 @@
 //!
 //! | rule         | invariant |
 //! |--------------|-----------|
-//! | `panic-path` | no transitive panic site reachable from public `run*` entry points |
+//! | `panic-path` | no transitive panic site reachable from a public entry point |
 //! | `det-taint`  | nondeterminism sources never reach determinism-critical sinks |
 //! | `lock-reach` | no lock acquisition reachable from a per-node hot loop |
 //!

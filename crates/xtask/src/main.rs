@@ -119,7 +119,7 @@ fn print_usage() {
          hot-lock     no Mutex/RwLock tokens on the per-node hot path\n    \
          metric-name  metric-name literals must be in the crates/obs METRIC_NAMES registry\n\n\
          RULES (call-graph reachability):\n    \
-         panic-path   no transitive panic sites reachable from public run* entry points\n    \
+         panic-path   no transitive panic sites reachable from public entry points\n    \
          det-taint    nondeterminism sources must not reach determinism-critical sinks\n    \
          lock-reach   no lock acquisition reachable from a per-node hot loop\n\n\
          Suppress a finding with `// lint: allow(<rule>)` on the same or preceding line;\n\

@@ -180,11 +180,12 @@ through that function.",
     ),
     (
         "panic-path",
-        "no transitive panic sites reachable from public engine entry points",
-        "Walks the call graph from every public `run*` entry point in crates/core (the
-SkylineEngine / BatchEngine API surface) and reports each reachable bare
-`.unwrap()`, `panic!`, `todo!` or `unimplemented!` — wherever it lives, in any
-crate. This supersedes the old per-line `unwrap` rule, which could only see the
+        "no transitive panic sites reachable from public entry points",
+        "Walks the call graph from every public entry point (the public `run*` functions
+of crates/core, every public method of SkylineEngine, BatchEngine and
+DynamicEngine, rn_graph::read_network and rn_workload::stream_build) and
+reports each reachable bare `.unwrap()`, `panic!`, `todo!` or
+`unimplemented!` — wherever it lives, in any crate. This supersedes the old per-line `unwrap` rule, which could only see the
 query-path files themselves, not what they call. `.expect(\"<invariant>\")` with
 a documented-invariant message remains the sanctioned form for truly
 unreachable states (DESIGN.md §8), and unchecked indexing is deliberately out of

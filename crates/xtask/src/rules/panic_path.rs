@@ -3,9 +3,11 @@
 //!
 //! Supersedes the old per-line `unwrap` rule: that one could only see
 //! the query-path files themselves, not what they call. This rule walks
-//! the call graph forward from every public `run*` function in
-//! crates/core and reports each reachable bare `.unwrap()`, `panic!`,
-//! `todo!` or `unimplemented!` wherever it lives.
+//! the call graph forward from every public entry point — the public
+//! `run*` functions of crates/core, every public method of the three
+//! engines, `rn_graph::read_network` and `rn_workload::stream_build` —
+//! and reports each reachable bare `.unwrap()`, `panic!`, `todo!` or
+//! `unimplemented!` wherever it lives.
 //!
 //! Deliberately *not* flagged (DESIGN.md §13): `.expect("<invariant>")`
 //! — the sanctioned form for documented-unreachable states (§8) — and
@@ -67,12 +69,24 @@ fn sites_in(ws: &Workspace, id: FnId) -> Vec<Site> {
     out
 }
 
+/// The engines whose every bare-`pub` method is an entry point.
+const ENGINES: [&str; 3] = ["SkylineEngine", "BatchEngine", "DynamicEngine"];
+
 /// The public API surface the rule protects: bare-`pub` `run*` functions
-/// in crates/core (`SkylineEngine::run*`, `BatchEngine::run*`, and the
-/// free drivers they delegate to).
+/// in crates/core, every bare-`pub` method of [`ENGINES`], and the two
+/// free functions that read outside input, `rn_graph::read_network` and
+/// `rn_workload::stream_build`.
 fn is_entry(ws: &Workspace, id: FnId) -> bool {
     let f = ws.fn_def(id);
-    f.is_pub && f.name.starts_with("run") && ws.fn_file(id).rel.starts_with("crates/core/src/")
+    let rel = ws.fn_file(id).rel.as_str();
+    let free =
+        |krate: &str, name: &str| f.owner.is_none() && f.name == name && rel.starts_with(krate);
+    let core = rel.starts_with("crates/core/src/")
+        && (f.name.starts_with("run") || f.owner.as_deref().is_some_and(|o| ENGINES.contains(&o)));
+    f.is_pub
+        && (core
+            || free("crates/graph/src/", "read_network")
+            || free("crates/workload/src/", "stream_build"))
 }
 
 /// Runs the rule over the workspace call graph.
@@ -193,6 +207,34 @@ mod tests {
             "pub fn run(q: Query) -> Out { trusted(q) }\n// lint: allow(panic-path) — test-harness assertion helper\nfn trusted(q: Query) -> Out { inner(q) }\nfn inner(q: Query) -> Out { q.first().unwrap() }\n",
         )]);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn engine_methods_and_input_readers_are_roots() {
+        let v = lint(&[
+            (
+                "crates/core/src/dynamic.rs",
+                "impl DynamicEngine {\n    pub fn apply(&mut self) { self.certify() }\n    fn certify(&self) { None::<u8>.unwrap(); }\n}\nimpl Helper {\n    pub fn apply_all(&self) { None::<u8>.unwrap(); }\n}\n",
+            ),
+            (
+                "crates/graph/src/io.rs",
+                "pub fn read_network(r: R) -> Net { parse(r) }\nfn parse(r: R) -> Net { r.lines().unwrap() }\npub fn write_network(g: Net) { g.out().unwrap() }\n",
+            ),
+            (
+                "crates/workload/src/stream.rs",
+                "pub fn stream_build(c: Config) -> Built { c.build().unwrap() }\n",
+            ),
+        ]);
+        let mut entries: Vec<&str> = v
+            .iter()
+            .map(|v| v.message.split('`').nth(1).expect("entry named"))
+            .collect();
+        entries.sort_unstable();
+        assert_eq!(
+            entries,
+            ["DynamicEngine::apply", "read_network", "stream_build"],
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@ pub fn lookups(t: &rn_obs::QueryTrace) {
     let _ = rn_obs::Metric::from_name("sp.heap_pops"); // registered: clean
     let _ = rn_obs::Metric::from_name("sp.heap_popz"); // typo: fires
     let _ = t.get_name("query.skyline.sizes"); // typo: fires
-    let _ = t.get_name("sp.astar.pack.sweeps"); // registered (pack): clean
-    let _ = t.get_name("sp.astar.pack.rekeys"); // truncated pack name: fires
+    let _ = t.get_name("sp.astar.pack.targets"); // registered (pack): clean
+    let _ = t.get_name("sp.astar.pack.sweeps"); // retired: fires
     let _ = t.get_name("sp.lb.oracle_hits"); // registered (oracle): clean
     let _ = t.get_name("lbc.plb.oracle_discards"); // registered (oracle): clean
     let _ = rn_obs::Metric::from_name("oracle.build.bytez"); // typo: fires

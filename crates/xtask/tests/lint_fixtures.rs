@@ -269,3 +269,46 @@ fn panic_path_reaches_every_dispatched_algorithm() {
         assert!(v.message.contains(via), "not reached through run_plan: {v}");
     }
 }
+
+#[test]
+fn panic_path_reaches_dynamic_updates_and_network_input() {
+    // The real crate sources, with a bare `.unwrap()` injected into a
+    // function only `DynamicEngine::apply` calls and into one only
+    // `read_network` calls. Each must be flagged once, through its entry.
+    let targets = [
+        (
+            "crates/core/src/dynamic.rs",
+            "    fn certify(",
+            "public entry `DynamicEngine::apply` (DynamicEngine::apply -> DynamicEngine::certify)",
+        ),
+        (
+            "crates/graph/src/io.rs",
+            "fn parse_u32(",
+            "public entry `read_network` (read_network -> parse_u32)",
+        ),
+    ];
+    let mut sources: Vec<(String, String)> = xtask::workspace_sources(&workspace_root())
+        .into_iter()
+        .filter(|(rel, _)| rel.starts_with("crates/") && rel.contains("/src/"))
+        .collect();
+    let mut injected = Vec::new();
+    for (file, signature, _) in targets {
+        let (_, src) = sources
+            .iter_mut()
+            .find(|(rel, _)| rel == file)
+            .expect("source present");
+        let sig = src.find(signature).expect("signature present");
+        let open = sig + src[sig..].find("{\n").expect("function body");
+        src.insert_str(open + 1, "\n    None::<u8>.unwrap();");
+        injected.push((file.to_string(), src[..open].lines().count() + 1));
+    }
+    let found: Vec<Violation> = lint_sources(&sources)
+        .into_iter()
+        .filter(|v| v.rule == xtask::RULE_PANIC_PATH)
+        .collect();
+    let sites: Vec<(String, usize)> = found.iter().map(|v| (v.file.clone(), v.line)).collect();
+    assert_eq!(sites, injected, "one panic-path finding per injected site");
+    for (v, (_, _, via)) in found.iter().zip(targets) {
+        assert!(v.message.contains(via), "not reached through {via}: {v}");
+    }
+}
