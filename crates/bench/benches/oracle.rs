@@ -1,5 +1,5 @@
-//! Lower-bound oracle comparison: Euclid vs ALT vs block-pair bounds at
-//! matched workloads, emitting `BENCH_7.json`. Run with
+//! Lower-bound oracle comparison: Euclid vs ALT bounds at matched
+//! workloads, emitting `BENCH_7.json`. Run with
 //! `cargo bench -p rn-bench --bench oracle`. Environment knobs:
 //! `MSQ_SEEDS`, `MSQ_IO_MS`.
 

@@ -1,20 +1,20 @@
-//! Lower-bound oracle benchmark (ISSUE 7): Euclidean vs ALT vs
-//! block-pair bounds at matched workloads, emitting `BENCH_7.json`.
+//! Lower-bound oracle benchmark: the Euclidean bound vs ALT landmarks at
+//! matched workloads, emitting `BENCH_7.json`.
 //!
 //! Every bound kind runs EDC and LBC cold over the same engine and the
 //! same query seeds; the skylines are verified **bitwise identical**
-//! across bound kinds (oracles are a pure cost optimisation — A\*
-//! settles exact distances under any consistent heuristic, and the
+//! across bound kinds (oracles are a pure cost optimisation — A\* keys
+//! its heap by the Euclidean distance under every bound, and the
 //! EDC/LBC pruning rules only discard provably dominated candidates).
 //! The cost deltas are reported per `(preset, algorithm, bound)` series:
 //!
-//! * **expansions** — network nodes settled; the headline column the
-//!   oracles exist to shrink (tighter heap keys steer A\* straighter,
-//!   tighter seeds kill candidates before any wavefront is opened).
+//! * **expansions** — network nodes settled. An oracle shrinks them only
+//!   through pruning: tighter windows and seeds leave fewer candidates
+//!   whose distances A\* must resolve.
 //! * **window candidates / plb discards** — where the pruning lands in
 //!   each algorithm (EDC's hypercube windows, LBC's candidate seeds).
-//! * **oracle hits / Euclid fallbacks** — how often the oracle actually
-//!   beat the Euclidean bound it wraps.
+//! * **oracle hits / Euclid fallbacks** — how often a pair bound beat
+//!   the Euclidean bound it wraps.
 //! * **build ms / bytes** — the preprocessing cost, reported honestly:
 //!   the oracles only pay off across enough queries to amortise it.
 //!
@@ -86,7 +86,7 @@ pub struct OracleSeries {
     pub preset: &'static str,
     /// Which algorithm.
     pub algo: Algorithm,
-    /// Bound label ("euclid"/"alt"/"block").
+    /// Bound label ("euclid"/"alt").
     pub bound: &'static str,
     /// Summed costs.
     pub totals: OracleTotals,
@@ -105,25 +105,13 @@ pub struct OracleBuildRow {
     pub bytes: u64,
 }
 
-/// The per-preset bound ladder: Euclid baseline plus both oracles at
-/// the preset's knobs.
-fn specs_for(preset: Preset) -> [(&'static str, BoundSpec); 3] {
-    let knobs = preset.oracle_knobs();
+/// The per-preset bound ladder: Euclid baseline plus ALT at the
+/// preset's landmark count.
+fn specs_for(preset: Preset) -> [(&'static str, BoundSpec); 2] {
+    let landmarks = preset.oracle_knobs().landmarks;
     [
         ("euclid", BoundSpec::Euclid),
-        (
-            "alt",
-            BoundSpec::Alt {
-                landmarks: knobs.landmarks,
-            },
-        ),
-        (
-            "block",
-            BoundSpec::Block {
-                fanout: knobs.block_fanout,
-                tolerance: knobs.block_tolerance,
-            },
-        ),
+        ("alt", BoundSpec::Alt { landmarks }),
     ]
 }
 
@@ -348,16 +336,16 @@ mod tests {
     fn oracles_prune_and_skylines_agree_on_ca() {
         // collect() itself asserts bitwise skyline equality per seed; on
         // top of that the CA preset — sparse, detour-heavy, the loosest
-        // Euclidean bounds of the three — must show the oracles actually
-        // reducing EDC+LBC network expansions.
+        // Euclidean bounds of the three — must show ALT's pruning
+        // actually reducing EDC+LBC network expansions.
         let setting = Setting {
             preset: Preset::Ca,
             omega: 0.3,
             nq: 3,
         };
         let (series, builds) = collect(&setting, 1);
-        assert_eq!(series.len(), 6);
-        assert_eq!(builds.len(), 3);
+        assert_eq!(series.len(), 4);
+        assert_eq!(builds.len(), 2);
         let total = |bound: &str| -> u64 {
             series
                 .iter()
@@ -365,9 +353,8 @@ mod tests {
                 .map(|s| s.totals.expansions)
                 .sum()
         };
-        let (euclid, alt, block) = (total("euclid"), total("alt"), total("block"));
+        let (euclid, alt) = (total("euclid"), total("alt"));
         assert!(alt < euclid, "ALT did not prune: {alt} vs {euclid}");
-        assert!(block < euclid, "block did not prune: {block} vs {euclid}");
         // Oracle runs actually consulted the oracle.
         for s in series.iter().filter(|s| s.bound != "euclid") {
             assert!(
@@ -385,7 +372,7 @@ mod tests {
                 s.id
             );
         }
-        // Both oracles report a real index footprint.
+        // The oracle reports a real index footprint.
         for b in builds.iter().filter(|b| b.bound != "euclid") {
             assert!(b.bytes > 0, "{}/{}: zero-byte index", b.preset, b.bound);
         }

@@ -8,8 +8,7 @@ use rn_graph::{NetPosition, ObjectId, RoadNetwork};
 use rn_index::{MiddleLayer, RTree};
 use rn_obs::{Event, ExecGuard, IncompleteReason, Metric, QueryBudget, QueryTrace};
 use rn_sp::{
-    AltOracle, BlockOracle, BoundSpec, EuclidBound, LbCounters, LowerBound, NetCtx,
-    OracleBuildStats, QueryPoint,
+    AltOracle, BoundSpec, EuclidBound, LbCounters, LowerBound, NetCtx, OracleBuildStats, QueryPoint,
 };
 use rn_storage::{FaultPlan, IoSnapshot, IoStats, NetworkStore, PoolConfig};
 
@@ -370,16 +369,8 @@ impl SkylineEngine {
                 &self.mid,
                 landmarks,
             )),
-            BoundSpec::Block { fanout, tolerance } => Box::new(BlockOracle::build(
-                &self.net,
-                &self.store,
-                &self.mid,
-                fanout,
-                tolerance,
-            )),
         };
         OracleBuildStats {
-            kind: spec.kind(),
             bytes: self.bound.build_bytes(),
             build_ms: started.elapsed().as_secs_f64() * 1e3,
         }

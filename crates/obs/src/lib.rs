@@ -104,14 +104,14 @@ pub enum Metric {
     /// slept — deterministic).
     StorageIoBackoffUs,
     /// Lower-bound oracle: evaluations where the precomputed bound
-    /// (ALT landmarks or block tables) was strictly tighter than the
-    /// plain Euclidean bound.
+    /// (ALT landmarks) was strictly tighter than the plain Euclidean
+    /// bound.
     SpLbOracleHits,
     /// Lower-bound oracle: evaluations where the Euclidean bound was
     /// already at least as tight and the oracle added nothing.
     SpLbEuclidFallbacks,
-    /// Oracle index footprint in bytes (distance tables + block
-    /// assignments). Deterministic: a pure function of network + knobs.
+    /// Oracle index footprint in bytes (landmark distance tables).
+    /// Deterministic: a pure function of network + knobs.
     OracleBuildBytes,
     /// LBC: candidates discarded by the plb test whose seed vector was
     /// tightened by the oracle, before any network expansion was spent

@@ -9,7 +9,6 @@
 //!   skyline;
 //! * [`bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001);
 //! * [`sfs`] — Sort-Filter-Skyline (Chomicki et al., ICDE 2003);
-//! * [`dnc`] — divide-and-conquer skyline;
 //! * [`euclidean`] — the R-tree-based *multi-source Euclidean skyline* of
 //!   §4.2: a BBS-style best-first browse ordered by the sum of per-query
 //!   mindists, with dominance pruning at both insertion and pop time, and
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod bnl;
-pub mod dnc;
 pub mod dominance;
 pub mod euclidean;
 pub mod sfs;

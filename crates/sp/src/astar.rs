@@ -23,12 +23,12 @@
 //! heuristic *lazily*: it sets the few smallest keys aside and heapifies
 //! the rest only once those are used up (DESIGN.md §11.6).
 //!
-//! The heuristic itself is pluggable: every evaluation goes through the
-//! context's [`LowerBound`](crate::LowerBound) seam ([`NetCtx::lb`]). The
-//! default Euclidean bound reproduces the behaviour above bitwise; the
-//! precomputed oracles (`rn_sp::oracle`) are consistent too, so every
-//! property — exact settled `g`, reusable settled maps, monotone `plb` —
-//! carries over unchanged (DESIGN.md §14).
+//! Every heap key is the planar Euclidean distance, computed inline: A\*
+//! never reads the context's [`LowerBound`](crate::LowerBound) seam
+//! ([`NetCtx::lb`]). A precomputed oracle only prunes, through
+//! `pair_bound` in EDC and LBC, so an engine given the same targets
+//! settles the same nodes in the same order under every bound
+//! (DESIGN.md §14.4).
 
 use crate::ctx::NetCtx;
 use crate::nodemap::NodeMap;
@@ -50,8 +50,8 @@ const LAZY_TOP: usize = 4;
 /// Per-target state.
 struct Target {
     pos: NetPosition,
-    /// The target anchored for lower-bound evaluation (edge endpoints,
-    /// along-edge offsets, planar point).
+    /// The anchored target: edge endpoints, along-edge offsets and the
+    /// planar point every heap key measures to.
     lbt: LbTarget,
     /// Best *known* (upper-bound) path to the target: same-edge direct
     /// path or via a settled endpoint of the target edge.
@@ -214,11 +214,6 @@ impl<'a> AStar<'a> {
             retargets: self.retargets,
             pack_targets: self.pack_targets,
         }
-    }
-
-    /// Exact distance of `n` if it has been settled by any past target run.
-    pub fn settled_distance(&self, n: NodeId) -> Option<f64> {
-        self.dist.get_copied(n)
     }
 
     /// Points the engine at a new target, seeding the best-known path from
@@ -411,9 +406,8 @@ impl<'a> AStar<'a> {
 
     /// Settles frontier node `n` at its exact distance `g` and relaxes its
     /// out-edges (one counted page access), keying each improved frontier
-    /// entry `g' + h` under the bound to `lbt`.
+    /// entry `g' + h` with `h` the planar distance to `lbt`.
     fn expand(&mut self, n: NodeId, g: f64, lbt: &LbTarget) {
-        let lb = self.ctx.lb;
         self.open.remove(n);
         self.dist.insert(n, g);
         self.expansions += 1;
@@ -430,15 +424,15 @@ impl<'a> AStar<'a> {
             };
             if better {
                 self.open.insert(ent.node, (ng, ent.point));
-                let h = lb.node_bound(ent.node, ent.point, lbt);
+                let h = ent.point.distance(&lbt.point);
                 self.heap
                     .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
             }
         }
     }
 
-    /// Re-keys the frontier under the bound to `lbt` (as in `expand`)
-    /// without heapifying it: one pass over the keys touched since the last
+    /// Re-keys the frontier for `lbt` (as in `expand`) without
+    /// heapifying it: one pass over the keys touched since the last
     /// re-key (compaction), then one pass keying each live frontier node,
     /// which sets the `LAZY_TOP` smallest entries aside, sorted, and leaves
     /// the rest in `keyed` for `peek_live` to heapify on demand. Pops
@@ -449,9 +443,8 @@ impl<'a> AStar<'a> {
         self.heap.clear();
         self.keyed.clear();
         self.aside.clear();
-        let lb = self.ctx.lb;
         for (n, &(g, p)) in self.open.iter() {
-            let e = (OrdF64::new(g + lb.node_bound(n, p, lbt)), OrdF64::new(g), n);
+            let e = (OrdF64::new(g + p.distance(&lbt.point)), OrdF64::new(g), n);
             if self.aside.len() == LAZY_TOP {
                 if e > self.aside[0] {
                     self.keyed.push(Reverse(e));
@@ -935,17 +928,15 @@ mod tests {
 
     #[test]
     fn oracle_bounds_preserve_distances_bitwise() {
-        // The seam contract: swapping the Euclidean bound for a
-        // precomputed consistent oracle changes how *fast* targets
-        // resolve, never what distance comes back — exact distances are
-        // settled `g` values, which only depend on edge relaxations.
-        use crate::oracle::{AltOracle, BlockOracle, LowerBound};
+        // A* keys its heap by the Euclidean distance whatever bound the
+        // context carries: an ALT context settles the same nodes in the
+        // same order, so distances, expansions and retargets all match.
+        use crate::oracle::AltOracle;
         for seed in 0..3u64 {
             let g = random_net(70, seed + 500);
             let store = NetworkStore::build(&g);
             let mid = MiddleLayer::build(&g, &[]);
             let alt = AltOracle::build(&g, &store, &mid, 8);
-            let block = BlockOracle::build(&g, &store, &mid, 16, 0.5);
             let mut rng = StdRng::seed_from_u64(seed + 41);
             let src = rand_pos(&g, &mut rng);
             let singles: Vec<NetPosition> = (0..6).map(|_| rand_pos(&g, &mut rng)).collect();
@@ -956,39 +947,29 @@ mod tests {
             let want_single: Vec<f64> = singles.iter().map(|&t| euclid.distance_to(t)).collect();
             let want_pack = euclid.distances_to_pack(&pack);
 
-            for oracle in [&alt as &dyn LowerBound, &block as &dyn LowerBound] {
-                let ctx_o = NetCtx::new(&g, &store, &mid).with_bound(oracle);
-                let mut with_oracle = AStar::new(&ctx_o, src);
-                for (i, &t) in singles.iter().enumerate() {
-                    let got = with_oracle.distance_to(t);
-                    assert_eq!(
-                        got.to_bits(),
-                        want_single[i].to_bits(),
-                        "{:?} seed {seed} single[{i}]: {got} vs {}",
-                        oracle.kind(),
-                        want_single[i]
-                    );
-                }
-                let got_pack = with_oracle.distances_to_pack(&pack);
-                for (i, (a, b)) in got_pack.iter().zip(&want_pack).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{:?} seed {seed} pack[{i}]",
-                        oracle.kind()
-                    );
-                }
-                // A tighter consistent heuristic shrinks the expanded
-                // region {v : g(v) + h(v) < d}; aggregated over the whole
-                // workload the oracle never does more work than Euclid.
-                assert!(
-                    with_oracle.expansions() <= euclid.expansions(),
-                    "{:?} seed {seed}: oracle expanded {} > Euclid {}",
-                    oracle.kind(),
-                    with_oracle.expansions(),
-                    euclid.expansions()
+            let ctx_o = NetCtx::new(&g, &store, &mid).with_bound(&alt);
+            let mut with_oracle = AStar::new(&ctx_o, src);
+            for (i, &t) in singles.iter().enumerate() {
+                let got = with_oracle.distance_to(t);
+                assert_eq!(
+                    got.to_bits(),
+                    want_single[i].to_bits(),
+                    "seed {seed} single[{i}]: {got} vs {}",
+                    want_single[i]
                 );
             }
+            let got_pack = with_oracle.distances_to_pack(&pack);
+            for (i, (a, b)) in got_pack.iter().zip(&want_pack).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} pack[{i}]");
+            }
+            assert_eq!(
+                with_oracle.expansions(),
+                euclid.expansions(),
+                "seed {seed}: oracle expanded {} vs Euclid {}",
+                with_oracle.expansions(),
+                euclid.expansions()
+            );
+            assert_eq!(with_oracle.retargets(), euclid.retargets(), "seed {seed}");
         }
     }
 
@@ -1081,13 +1062,13 @@ mod tests {
         assert!(saw_exact && saw_keyed, "the walk missed a kind of retarget");
     }
 
-    /// The smallest `(key, g, node)` over `open` under the current
-    /// target's bound, by brute scan.
+    /// The smallest `(key, g, node)` over `open` for the current target,
+    /// by brute scan.
     fn brute_min(a: &AStar, lbt: &LbTarget) -> Option<Entry> {
         a.open
             .iter()
             .map(|(n, &(g, p))| {
-                let key = g + a.ctx.lb.node_bound(n, p, lbt);
+                let key = g + p.distance(&lbt.point);
                 (OrdF64::new(key), OrdF64::new(g), n)
             })
             .min()
@@ -1098,7 +1079,8 @@ mod tests {
         // Random interleavings of retargets over a small target pool
         // (revisits make endpoint-exact retargets), a few pops per visit,
         // plb/is_resolved probes, packs and rebases: every pop must
-        // settle the minimum live `(key, g, node)` of a brute scan.
+        // settle the minimum live `(key, g, node)` of a brute scan keyed
+        // by the Euclidean distance, under an ALT context as well.
         use crate::oracle::AltOracle;
         let (mut exact_visits, mut heapified_visits) = (0u32, 0u32);
         for seed in 0..4u64 {

@@ -34,10 +34,12 @@ pub struct NetCtx<'a> {
     /// worker contexts carry `None` so tripping stays coordinator-side
     /// and worker-count independent (DESIGN.md §12).
     pub guard: Option<&'a ExecGuard>,
-    /// The network-distance lower bound feeding the A\* heuristic and the
-    /// pruning rules. Defaults to the Euclidean bound ([`EUCLID`]), which
-    /// reproduces the paper's engines bitwise; [`NetCtx::with_bound`]
-    /// swaps in a precomputed oracle (DESIGN.md §14).
+    /// The network-distance lower bound feeding the pruning rules (EDC
+    /// windows, LBC seeds); A\* keys its heap by the Euclidean distance
+    /// and never reads it. Defaults to the Euclidean bound ([`EUCLID`]),
+    /// which reproduces the paper's engines bitwise;
+    /// [`NetCtx::with_bound`] swaps in a precomputed oracle (DESIGN.md
+    /// §14).
     pub lb: &'a dyn LowerBound,
 }
 
@@ -75,12 +77,6 @@ impl<'a> NetCtx<'a> {
     pub fn with_bound(mut self, lb: &'a dyn LowerBound) -> Self {
         self.lb = lb;
         self
-    }
-
-    /// `true` once the context's guard (if any) has tripped: the query
-    /// budget is exhausted and engines must stop expanding.
-    pub fn budget_exhausted(&self) -> bool {
-        self.guard.is_some_and(|g| g.tripped())
     }
 
     /// Resolves a network position to planar coordinates.

@@ -107,15 +107,6 @@ impl<'a> IncrementalExpansion<'a> {
         }
     }
 
-    /// The network distance at which `object` was emitted, if it has been.
-    pub fn emitted_distance(&self, object: ObjectId) -> Option<f64> {
-        if self.emitted.contains(&object) {
-            self.best.get(&object).copied()
-        } else {
-            None
-        }
-    }
-
     fn relax_object(&mut self, obj: ObjectId, d: f64) {
         let better = match self.best.get(&obj) {
             Some(&cur) => d < cur,
@@ -308,25 +299,6 @@ mod tests {
         let ids: HashSet<ObjectId> = got.iter().map(|&(o, _)| o).collect();
         assert_eq!(ids.len(), got.len(), "no duplicates");
         assert_eq!(ids.len(), objs.len());
-    }
-
-    #[test]
-    fn emitted_distance_recall() {
-        let g = random_net(25, 13);
-        let objs = rand_positions(&g, 8, 14);
-        let store = NetworkStore::build(&g);
-        let mid = MiddleLayer::build(&g, &objs);
-        let ctx = NetCtx::new(&g, &store, &mid);
-        let src = rand_positions(&g, 1, 15)[0];
-        let mut ine = IncrementalExpansion::new(&ctx, src);
-        let (first, d) = ine.next_nearest().unwrap();
-        assert_eq!(ine.emitted_distance(first), Some(d));
-        // Unemitted objects report None.
-        let unemitted = (0..objs.len() as u32)
-            .map(ObjectId)
-            .find(|o| *o != first)
-            .unwrap();
-        assert_eq!(ine.emitted_distance(unemitted), None);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   advance the cheapest frontier one step at a time and stop the moment a
 //!   candidate is provably dominated;
 //! * **lower-bound oracles** ([`oracle`]) — a pluggable [`oracle::LowerBound`]
-//!   seam feeding the A\* heuristic and the skyline pruning rules: the
-//!   zero-cost Euclidean bound (default), ALT landmark triangle bounds and
-//!   Hilbert-block distance tables;
+//!   seam feeding the skyline pruning rules and the dynamic certificates
+//!   (A\* keys its heap by the Euclidean distance): the zero-cost
+//!   Euclidean bound (default) and ALT landmark triangle bounds;
 //! * **reference oracles** ([`apsp_oracle`]) — Floyd–Warshall all-pairs and
 //!   position-to-position distances — used only by the test suites.
 //!
@@ -47,7 +47,7 @@ pub use dijkstra::Dijkstra;
 pub use ine::IncrementalExpansion;
 pub use nodemap::NodeMap;
 pub use oracle::{
-    AltOracle, BlockOracle, BoundKind, BoundSpec, EuclidBound, LbCounters, LbTarget, LowerBound,
+    AltOracle, BoundKind, BoundSpec, EuclidBound, LbCounters, LbTarget, LowerBound,
     OracleBuildStats, EUCLID,
 };
 pub use path::{NetPath, PathFinder};

@@ -1,36 +1,33 @@
 //! Precomputed network-distance lower-bound oracles — the [`LowerBound`]
-//! seam behind the A\* heuristic and the skyline pruning rules.
+//! seam behind the skyline pruning rules.
 //!
-//! Every pruning rule in the paper — the A\* heuristic (§6.1), EDC's
-//! Euclidean windows (§4.2), LBC's `plb` (§4.3) — leans on *some*
-//! admissible lower bound of network distance. The paper uses the
-//! Euclidean bound, which on road networks is slack by the detour ratio
-//! δ = d_N/d_E. This module makes the bound pluggable:
+//! Every pruning rule in the paper — EDC's Euclidean windows (§4.2),
+//! LBC's `plb` (§4.3) — leans on *some* admissible lower bound of network
+//! distance. The paper uses the Euclidean bound, which on road networks
+//! is slack by the detour ratio δ = d_N/d_E. This module makes the bound
+//! pluggable:
 //!
 //! * [`EuclidBound`] — the paper's bound, zero preprocessing, the
 //!   default ([`EUCLID`]). Bitwise identical to the pre-seam engines.
 //! * [`AltOracle`] — ALT landmarks (Goldberg & Harrelson): `k`
 //!   farthest-point landmarks, one exhaustive [`Dijkstra`] table per
 //!   landmark stored node-major, triangle bound `max_l |d(l,u) − d(l,v)|`.
-//! * [`BlockOracle`] — Hilbert-curve node blocks with exact
-//!   distance-to-block tables `D[B][u] = d_N(u, B)`, refined (blocks
-//!   halved) until the bound is Euclid-tight on a deterministic sample.
 //!
-//! Two roles, two obligations:
+//! A\* does not read this seam: its heap keys are Euclidean distances
+//! computed inline (`crate::astar`). The two methods serve the pruning
+//! rules and the dynamic layer:
 //!
-//! * [`LowerBound::node_bound`] feeds A\* heap keys, so it must be
-//!   **consistent** as well as admissible (DESIGN.md §14 has the proof
-//!   sketch). Both oracles compose per-node potentials that are
-//!   1-Lipschitz along edges, anchored through the target edge's
-//!   endpoints — note that the naive block-*pair* min-distance table is
-//!   provably *not* consistent, which is why the tables are kept at
-//!   distance-to-block resolution.
-//! * [`LowerBound::pair_bound`] only prunes (EDC windows, LBC seed
-//!   vectors), so admissibility alone is required.
+//! * [`LowerBound::pair_bound`] prunes EDC windows and closures and
+//!   raises LBC candidate seeds;
+//! * [`LowerBound::node_bound`] feeds `DynamicEngine`'s blast-radius
+//!   certificates, which need it admissible.
 //!
-//! Neither oracle materialises all-pairs distances: the tables are
-//! `O(k·|V|)` lower-bound indexes, not the `Θ(|V|²)` exact structure the
-//! paper's Theorem 1 optimality class excludes (see DESIGN.md §14).
+//! ALT's node bound is also consistent (DESIGN.md §14 has the argument),
+//! but no engine relies on that now.
+//!
+//! The ALT tables are `O(k·|V|)` lower-bound indexes, not the
+//! `Θ(|V|²)` exact structure the paper's Theorem 1 optimality class
+//! excludes (see DESIGN.md §14).
 //!
 //! Hit accounting uses relaxed atomics: the counters are commutative
 //! sums harvested coordinator-side after the join, so totals are
@@ -38,12 +35,10 @@
 
 use crate::ctx::NetCtx;
 use crate::dijkstra::Dijkstra;
-use rn_geom::{Point, EPSILON};
-use rn_graph::{hilbert, EdgeId, NetPosition, NodeId, RoadNetwork};
+use rn_geom::Point;
+use rn_graph::{EdgeId, NetPosition, NodeId, RoadNetwork};
 use rn_index::MiddleLayer;
-use rn_storage::{AdjRecord, IoStats, NetworkStore};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rn_storage::{IoStats, NetworkStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which lower bound an oracle implements.
@@ -53,19 +48,6 @@ pub enum BoundKind {
     Euclid,
     /// ALT landmark triangle bounds.
     Alt,
-    /// Hilbert-block distance-to-block tables.
-    Block,
-}
-
-impl BoundKind {
-    /// Stable lowercase label, used by the bench reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            BoundKind::Euclid => "euclid",
-            BoundKind::Alt => "alt",
-            BoundKind::Block => "block",
-        }
-    }
 }
 
 /// Construction recipe for a lower bound (the engine-facing knobs).
@@ -79,26 +61,6 @@ pub enum BoundSpec {
         /// `8·|V|` bytes of table).
         landmarks: usize,
     },
-    /// Hilbert blocks of initially `fanout` nodes, halved until the
-    /// bound is Euclid-tight on at least `tolerance` of sampled pairs.
-    Block {
-        /// Initial nodes per block before refinement.
-        fanout: usize,
-        /// Target fraction of sampled node pairs where the block bound
-        /// is at least as tight as Euclid (0.0 disables refinement).
-        tolerance: f64,
-    },
-}
-
-impl BoundSpec {
-    /// The [`BoundKind`] this spec builds.
-    pub fn kind(self) -> BoundKind {
-        match self {
-            BoundSpec::Euclid => BoundKind::Euclid,
-            BoundSpec::Alt { .. } => BoundKind::Alt,
-            BoundSpec::Block { .. } => BoundKind::Block,
-        }
-    }
 }
 
 /// Snapshot of an oracle's hit accounting.
@@ -116,8 +78,6 @@ pub struct LbCounters {
 /// function of network + knobs and therefore deterministic.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OracleBuildStats {
-    /// What was built.
-    pub kind: BoundKind,
     /// Index footprint in bytes (distance tables + assignments).
     pub bytes: u64,
     /// Preprocessing wall time in milliseconds (caller-measured; 0 when
@@ -167,25 +127,26 @@ impl LbTarget {
 
 /// The pluggable lower-bound seam.
 ///
-/// Implementations must be admissible everywhere (`bound ≤ d_N`);
-/// [`LowerBound::node_bound`] must additionally be consistent
-/// (`bound(u, t) ≤ w(u, v) + bound(v, t)` across every edge `(u, v)`)
-/// because it feeds A\* heap keys and the `plb` frontier bound. Both
-/// properties are proptested against the brute APSP oracle
-/// (`tests/oracle_bounds.rs`) and the A\* heap-pop monotonicity assert
-/// under `invariant-checks` exercises consistency on every query.
+/// Implementations must be admissible everywhere (`bound ≤ d_N`): the
+/// pruning rules and the dynamic certificates discard work on the
+/// strength of a bound, so an inadmissible one would change answers.
+/// Admissibility is proptested against the brute APSP oracle
+/// (`tests/oracle_bounds.rs`), which also checks that ALT's node bound
+/// is consistent (`bound(u, t) ≤ w(u, v) + bound(v, t)` across every
+/// edge) — a property no engine relies on since A\* keys its heap by
+/// the Euclidean distance.
 pub trait LowerBound: Send + Sync {
     /// Which bound this is.
     fn kind(&self) -> BoundKind;
 
-    /// Consistent + admissible bound from node `n` (at planar point
-    /// `p`) to the anchored position `t`. Never below the Euclidean
-    /// bound `p.distance(t.point)`.
+    /// Admissible bound from node `n` (at planar point `p`) to the
+    /// anchored position `t`, read by `DynamicEngine`'s certificates.
+    /// Never below the Euclidean bound `p.distance(t.point)`.
     fn node_bound(&self, n: NodeId, p: Point, t: &LbTarget) -> f64;
 
-    /// Admissible bound between two anchored positions, used only for
-    /// pruning (EDC windows, LBC candidate seeds) — consistency is not
-    /// required here. Never below the Euclidean point distance.
+    /// Admissible bound between two anchored positions, used for
+    /// pruning (EDC windows, LBC candidate seeds). Never below the
+    /// Euclidean point distance.
     fn pair_bound(&self, a: &LbTarget, b: &LbTarget) -> f64;
 
     /// Snapshot of the hit accounting (zeros for [`EuclidBound`]).
@@ -498,278 +459,13 @@ fn landmark_table(ctx: &NetCtx, l: NodeId) -> Option<Vec<f64>> {
     Some(out)
 }
 
-// ---------------------------------------------------------------------------
-// Hilbert-block distance tables
-// ---------------------------------------------------------------------------
-
-/// Hard cap on block-table memory: refinement stops rather than cross
-/// it, and an initial fanout that would already cross it is coarsened.
-const MAX_BLOCK_TABLE_BYTES: u64 = 64 << 20;
-
-/// Refinement floor: blocks are never split below this many nodes.
-const MIN_FANOUT: usize = 8;
-
-/// Refinement rounds are bounded so preprocessing cost stays predictable.
-const MAX_REFINE_ROUNDS: usize = 4;
-
-/// Hilbert-block oracle: nodes are partitioned into contiguous runs of
-/// the Hilbert curve ([`hilbert::hilbert_order`], the same clustering
-/// the storage layer uses for disk pages), and for every block `B` an
-/// exact distance-to-block table `D[B][u] = d_N(u, B)` is filled by one
-/// multi-source Dijkstra seeded with all of `B`'s nodes.
-///
-/// `D[B][·]` is admissible for any target inside `B` and 1-Lipschitz
-/// along edges, so anchoring through the target edge's endpoints gives
-/// a *consistent* A\* potential. The coarse `k×k` block-pair min table
-/// of the partition-index literature is exactly
-/// `min_{u ∈ A} D[B][u]` — derivable from `D`, strictly looser, and
-/// (unlike `D`) not consistent as a potential; DESIGN.md §14 has the
-/// counterexample. The pair bound here reads `D` directly:
-/// `max(D[blk(y)][x], D[blk(x)][y]) ≤ d_N(x, y)` in O(1).
-pub struct BlockOracle {
-    /// Node → block index.
-    assign: Vec<u32>,
-    /// `tables[b][u] = d_N(u, block b)` (`∞` when unreachable).
-    tables: Vec<Vec<f64>>,
-    /// Nodes per block after refinement.
-    fanout: usize,
-    bytes: u64,
-    hits: AtomicU64,
-    fallbacks: AtomicU64,
-    /// Set by a weight decrease — see [`AltOracle`]'s field of the same
-    /// name.
-    stale: AtomicBool,
-}
-
-impl BlockOracle {
-    /// Builds the oracle: initial blocks of `fanout` nodes, refined
-    /// (fanout halved, tables rebuilt) until at least `tolerance` of a
-    /// deterministic node-pair sample has a block bound no looser than
-    /// Euclid, or a cost cap trips. Table fills run against a private
-    /// store session.
-    pub fn build(
-        net: &RoadNetwork,
-        store: &NetworkStore,
-        _mid: &MiddleLayer,
-        fanout: usize,
-        tolerance: f64,
-    ) -> BlockOracle {
-        let session = store.session_with_stats(IoStats::new());
-        let n = net.node_count();
-        let points: Vec<Point> = net.node_ids().map(|id| net.point(id)).collect();
-        let order = hilbert::hilbert_order(&points);
-
-        let mut fanout = fanout.max(MIN_FANOUT);
-        // Coarsen upfront if the requested fanout would blow the cap.
-        while fanout < n && table_bytes(n, fanout) > MAX_BLOCK_TABLE_BYTES {
-            fanout *= 2;
-        }
-
-        let (mut assign, mut tables) = build_block_tables(net, &session, &order, fanout);
-        for _ in 0..MAX_REFINE_ROUNDS {
-            let next = fanout / 2;
-            if next < MIN_FANOUT || table_bytes(n, next) > MAX_BLOCK_TABLE_BYTES {
-                break;
-            }
-            if tightness(net, &order, &assign, &tables) >= tolerance {
-                break;
-            }
-            fanout = next;
-            let rebuilt = build_block_tables(net, &session, &order, fanout);
-            assign = rebuilt.0;
-            tables = rebuilt.1;
-        }
-
-        let bytes = (tables.len() * n * std::mem::size_of::<f64>()
-            + assign.len() * std::mem::size_of::<u32>()) as u64;
-        BlockOracle {
-            assign,
-            tables,
-            fanout,
-            bytes,
-            hits: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            stale: AtomicBool::new(false),
-        }
-    }
-
-    /// Nodes per block after refinement.
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Node-pair bound: `x` is at least `d_N(x, blk(y))` from anything
-    /// in `y`'s block (and symmetrically), both exact table reads.
-    #[inline]
-    fn node_pair(&self, x: NodeId, y: NodeId) -> f64 {
-        let xy = self.tables[self.assign[y.idx()] as usize][x.idx()];
-        let yx = self.tables[self.assign[x.idx()] as usize][y.idx()];
-        xy.max(yx)
-    }
-
-    /// The consistent A\*-side potential: distance to the *target's*
-    /// block only (the block index is fixed per target, so the table row
-    /// is a single 1-Lipschitz function of the node).
-    #[inline]
-    fn to_block_of(&self, anchor_node: NodeId, n: NodeId) -> f64 {
-        self.tables[self.assign[anchor_node.idx()] as usize][n.idx()]
-    }
-}
-
-impl LowerBound for BlockOracle {
-    fn kind(&self) -> BoundKind {
-        BoundKind::Block
-    }
-
-    fn node_bound(&self, n: NodeId, p: Point, t: &LbTarget) -> f64 {
-        let euclid = p.distance(&t.point);
-        if self.stale.load(Ordering::Relaxed) {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return euclid;
-        }
-        let via = anchor_min(self.to_block_of(t.eu, n), self.to_block_of(t.ev, n), t);
-        tally(&self.hits, &self.fallbacks, via, euclid);
-        via.max(euclid)
-    }
-
-    fn pair_bound(&self, a: &LbTarget, b: &LbTarget) -> f64 {
-        let euclid = a.point.distance(&b.point);
-        if self.stale.load(Ordering::Relaxed) {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return euclid;
-        }
-        let via = pair_via_endpoints(|x, y| self.node_pair(x, y), a, b);
-        tally(&self.hits, &self.fallbacks, via, euclid);
-        via.max(euclid)
-    }
-
-    fn counters(&self) -> LbCounters {
-        LbCounters {
-            oracle_hits: self.hits.load(Ordering::Relaxed),
-            euclid_fallbacks: self.fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    fn build_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn note_weight_change(&self, decreased: bool) {
-        if decreased {
-            self.stale.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn is_degraded(&self) -> bool {
-        self.stale.load(Ordering::Relaxed)
-    }
-}
-
-fn table_bytes(nodes: usize, fanout: usize) -> u64 {
-    let blocks = nodes.div_ceil(fanout.max(1));
-    (blocks * nodes * std::mem::size_of::<f64>()) as u64
-}
-
-/// Partitions the Hilbert order into runs of `fanout` nodes and fills
-/// one exact distance-to-block table per block (multi-source Dijkstra
-/// over the counted store session).
-fn build_block_tables(
-    net: &RoadNetwork,
-    store: &NetworkStore,
-    order: &[u32],
-    fanout: usize,
-) -> (Vec<u32>, Vec<Vec<f64>>) {
-    let n = net.node_count();
-    let mut assign = vec![0u32; n];
-    let mut tables = Vec::new();
-    for (b, chunk) in order.chunks(fanout.max(1)).enumerate() {
-        for &node in chunk {
-            assign[node as usize] = b as u32;
-        }
-        let mut dist = vec![f64::INFINITY; n];
-        multi_source_distances(store, chunk.iter().map(|&u| NodeId(u)), &mut dist);
-        tables.push(dist);
-    }
-    (assign, tables)
-}
-
-/// Multi-source Dijkstra: fills `out[u] = min_{s ∈ seeds} d_N(u, s)`.
-/// The frontier reads adjacency through the (counted, buffered) store —
-/// the same I/O discipline as [`Dijkstra`], without its single-source
-/// [`NetPosition`] seeding.
-fn multi_source_distances(
-    store: &NetworkStore,
-    seeds: impl Iterator<Item = NodeId>,
-    out: &mut [f64],
-) {
-    let mut heap: BinaryHeap<Reverse<(rn_geom::OrdF64, NodeId)>> = BinaryHeap::new();
-    for s in seeds {
-        out[s.idx()] = 0.0;
-        heap.push(Reverse((rn_geom::OrdF64::new(0.0), s)));
-    }
-    let mut rec = AdjRecord::default();
-    while let Some(Reverse((d, node))) = heap.pop() {
-        let d = d.get();
-        if d > out[node.idx()] {
-            continue; // stale entry
-        }
-        store.read_adjacency_into(node, &mut rec);
-        for ent in &rec.entries {
-            let nd = d + ent.length;
-            if nd < out[ent.node.idx()] {
-                out[ent.node.idx()] = nd;
-                heap.push(Reverse((rn_geom::OrdF64::new(nd), ent.node)));
-            }
-        }
-    }
-}
-
-/// Fraction of a deterministic node-pair sample where the block bound
-/// is no looser than Euclid — the refinement criterion. Pairs stride
-/// the Hilbert order against its half-rotation, so samples mix near and
-/// far pairs without any RNG.
-fn tightness(net: &RoadNetwork, order: &[u32], assign: &[u32], tables: &[Vec<f64>]) -> f64 {
-    let n = order.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let stride = (n / 97).max(1);
-    let mut tight = 0usize;
-    let mut total = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        let x = order[i] as usize;
-        let y = order[(i + n / 2) % n] as usize;
-        if x != y {
-            let via = tables[assign[y] as usize][x].max(tables[assign[x] as usize][y]);
-            let euclid = net
-                .point(NodeId(x as u32))
-                .distance(&net.point(NodeId(y as u32)));
-            total += 1;
-            if via + EPSILON >= euclid {
-                tight += 1;
-            }
-        }
-        i += stride;
-    }
-    if total == 0 {
-        1.0
-    } else {
-        tight as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apsp_oracle::{all_pairs_node_distances, position_distance_oracle};
     use rand::prelude::*;
     use rand::rngs::StdRng;
+    use rn_geom::EPSILON;
     use rn_graph::NetworkBuilder;
 
     /// Seeded random connected-ish network (mirrors the astar test rig).
@@ -802,12 +498,10 @@ mod tests {
         NetPosition::new(e, rng.random_range(0.0..=len))
     }
 
-    fn build_both(net: &RoadNetwork) -> (AltOracle, BlockOracle, NetworkStore, MiddleLayer) {
+    fn build_alt(net: &RoadNetwork) -> AltOracle {
         let store = NetworkStore::build(net);
         let mid = MiddleLayer::build(net, &[]);
-        let alt = AltOracle::build(net, &store, &mid, 6);
-        let block = BlockOracle::build(net, &store, &mid, 8, 0.5);
-        (alt, block, store, mid)
+        AltOracle::build(net, &store, &mid, 6)
     }
 
     #[test]
@@ -829,20 +523,15 @@ mod tests {
     fn oracle_node_pair_bounds_are_admissible() {
         for seed in 0..3 {
             let net = random_net(40, seed);
-            let (alt, block, _s, _m) = build_both(&net);
+            let alt = build_alt(&net);
             let apsp = all_pairs_node_distances(&net);
             for x in net.node_ids() {
                 for y in net.node_ids() {
                     let d = apsp[x.idx()][y.idx()];
                     let a = alt.node_pair(x, y);
-                    let bl = block.node_pair(x, y);
                     assert!(
                         a <= d + EPSILON,
                         "ALT node bound {a} > d {d} for {x:?},{y:?} seed {seed}"
-                    );
-                    assert!(
-                        bl <= d + EPSILON,
-                        "block node bound {bl} > d {d} for {x:?},{y:?} seed {seed}"
                     );
                 }
             }
@@ -853,7 +542,7 @@ mod tests {
     fn oracle_pair_bounds_are_admissible_for_positions() {
         for seed in 0..3 {
             let net = random_net(35, 10 + seed);
-            let (alt, block, _s, _m) = build_both(&net);
+            let alt = build_alt(&net);
             let reference = position_distance_oracle(&net);
             let mut rng = StdRng::seed_from_u64(99 + seed);
             for _ in 0..60 {
@@ -862,45 +551,35 @@ mod tests {
                 let d = reference(&pa, &pb);
                 let a = LbTarget::of(&net, &pa);
                 let b = LbTarget::of(&net, &pb);
-                for lb in [&alt as &dyn LowerBound, &block as &dyn LowerBound] {
-                    let got = lb.pair_bound(&a, &b);
-                    assert!(
-                        got <= d + EPSILON,
-                        "{:?} pair bound {got} > d {d} (seed {seed})",
-                        lb.kind()
-                    );
-                    assert!(got + EPSILON >= a.point.distance(&b.point), "below Euclid");
-                }
+                let got = alt.pair_bound(&a, &b);
+                assert!(got <= d + EPSILON, "pair bound {got} > d {d} (seed {seed})");
+                assert!(got + EPSILON >= a.point.distance(&b.point), "below Euclid");
             }
         }
     }
 
     #[test]
     fn node_bounds_are_consistent_across_edges() {
-        // h(u) ≤ w(u,v) + h(v) for every edge and sampled target: the
-        // property that keeps A* heap pops monotone.
+        // h(u) ≤ w(u,v) + h(v) for every edge and sampled target: ALT's
+        // node bound is a consistent potential.
         for seed in 0..3 {
             let net = random_net(40, 20 + seed);
-            let (alt, block, _s, _m) = build_both(&net);
+            let alt = build_alt(&net);
             let mut rng = StdRng::seed_from_u64(7 + seed);
             for _ in 0..20 {
                 let t = LbTarget::of(&net, &rand_pos(&net, &mut rng));
                 for (ei, e) in net.edges().iter().enumerate() {
-                    for lb in [&alt as &dyn LowerBound, &block as &dyn LowerBound] {
-                        let hu = lb.node_bound(e.u, net.point(e.u), &t);
-                        let hv = lb.node_bound(e.v, net.point(e.v), &t);
-                        assert!(
-                            hu <= e.length + hv + EPSILON,
-                            "{:?} inconsistent over edge {ei} (seed {seed}): {hu} > {} + {hv}",
-                            lb.kind(),
-                            e.length
-                        );
-                        assert!(
-                            hv <= e.length + hu + EPSILON,
-                            "{:?} inconsistent (reverse) over edge {ei} (seed {seed})",
-                            lb.kind(),
-                        );
-                    }
+                    let hu = alt.node_bound(e.u, net.point(e.u), &t);
+                    let hv = alt.node_bound(e.v, net.point(e.v), &t);
+                    assert!(
+                        hu <= e.length + hv + EPSILON,
+                        "inconsistent over edge {ei} (seed {seed}): {hu} > {} + {hv}",
+                        e.length
+                    );
+                    assert!(
+                        hv <= e.length + hu + EPSILON,
+                        "inconsistent (reverse) over edge {ei} (seed {seed})",
+                    );
                 }
             }
         }
@@ -923,18 +602,6 @@ mod tests {
         uniq.sort_unstable_by_key(|n| n.0);
         uniq.dedup();
         assert_eq!(uniq.len(), 5, "landmarks must be distinct");
-    }
-
-    #[test]
-    fn block_refinement_tightens_or_stops() {
-        let net = random_net(60, 4);
-        let store = NetworkStore::build(&net);
-        let mid = MiddleLayer::build(&net, &[]);
-        let coarse = BlockOracle::build(&net, &store, &mid, 64, 0.0);
-        let refined = BlockOracle::build(&net, &store, &mid, 64, 0.99);
-        assert!(refined.block_count() >= coarse.block_count());
-        assert!(refined.fanout() <= coarse.fanout());
-        assert!(refined.build_bytes() >= coarse.build_bytes());
     }
 
     #[test]

@@ -81,40 +81,22 @@ impl Preset {
     }
 
     /// Lower-bound oracle knobs tuned to this preset's density
-    /// (DESIGN.md §14): sparse nets afford more landmarks and finer
-    /// blocks per node; dense nets cap the precomputation instead.
+    /// (DESIGN.md §14): sparse nets afford more landmarks per node; dense
+    /// nets cap the precomputation instead.
     pub fn oracle_knobs(self) -> OracleKnobs {
         match self {
-            Preset::Ca => OracleKnobs {
-                landmarks: 16,
-                block_fanout: 64,
-                block_tolerance: 0.5,
-            },
-            Preset::Au => OracleKnobs {
-                landmarks: 12,
-                block_fanout: 256,
-                block_tolerance: 0.5,
-            },
-            Preset::Na => OracleKnobs {
-                landmarks: 8,
-                block_fanout: 1024,
-                block_tolerance: 0.5,
-            },
+            Preset::Ca => OracleKnobs { landmarks: 16 },
+            Preset::Au => OracleKnobs { landmarks: 12 },
+            Preset::Na => OracleKnobs { landmarks: 8 },
         }
     }
 }
 
-/// Per-preset construction parameters for the ALT and block-pair
-/// lower-bound oracles.
+/// Per-preset construction parameters for the ALT lower-bound oracle.
 #[derive(Clone, Copy, Debug)]
 pub struct OracleKnobs {
     /// ALT landmark count (farthest-point seeded).
     pub landmarks: usize,
-    /// Block-pair oracle: target nodes per Hilbert block.
-    pub block_fanout: usize,
-    /// Block-pair oracle: refinement stops once this fraction of sampled
-    /// pairs is Euclidean-tight.
-    pub block_tolerance: f64,
 }
 
 /// California-like network (sparse; 3 080 nodes, 3 607 edges).

@@ -9,9 +9,8 @@
 //!
 //! * against the brute-force oracle, and against CE, EDC and LBC at 1, 2
 //!   and 8 intra-query workers;
-//! * under all three bound oracles (Euclid, ALT landmarks, Hilbert
-//!   blocks), including the staleness degradation a weight decrease
-//!   triggers.
+//! * under both bounds (Euclid, ALT landmarks), including the staleness
+//!   degradation a weight decrease triggers.
 //!
 //! The CI invariant-checks leg runs this suite with the runtime contract
 //! layer live on every heap pop and dominance test.
@@ -36,15 +35,8 @@ fn dyn_canon(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
     v
 }
 
-/// The three bound oracles of DESIGN.md §14, small enough for test nets.
-const SPECS: [BoundSpec; 3] = [
-    BoundSpec::Euclid,
-    BoundSpec::Alt { landmarks: 4 },
-    BoundSpec::Block {
-        fanout: 8,
-        tolerance: 0.5,
-    },
-];
+/// The two bounds of DESIGN.md §14, small enough for test nets.
+const SPECS: [BoundSpec; 2] = [BoundSpec::Euclid, BoundSpec::Alt { landmarks: 4 }];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]

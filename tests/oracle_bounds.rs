@@ -1,25 +1,27 @@
-//! Lower-bound oracle contracts (ISSUE 7, satellite c).
+//! Lower-bound oracle contracts.
 //!
-//! Property-checks the two obligations DESIGN.md §14 places on every
-//! [`rn_sp::LowerBound`] implementation, against brute-force APSP truth:
+//! Property-checks what DESIGN.md §14 asks of the ALT oracle, against
+//! brute-force APSP truth:
 //!
 //! * **admissibility** — the bound never exceeds the true network
-//!   distance, for node-to-position bounds (`node_bound`) and
-//!   position-to-position bounds (`pair_bound`);
+//!   distance, for node-to-position bounds (`node_bound`, which the
+//!   dynamic certificates read) and position-to-position bounds
+//!   (`pair_bound`, which the pruning rules read). Every `LowerBound`
+//!   must be admissible;
 //! * **consistency** — `node_bound(u, t) <= w(u, v) + node_bound(v, t)`
-//!   across every edge, the triangle condition that keeps A\*'s heap
-//!   keys monotone (and its settled distances exact) under any oracle.
+//!   across every edge. ALT's node bound is a consistent potential, but
+//!   no engine relies on that now: A\* keys its heap by the Euclidean
+//!   distance.
 //!
 //! The CI contracts job runs this suite alongside the
-//! `invariant-checks` feature legs, so the same properties are also
-//! asserted live on every A\* heap pop during the equivalence tests.
+//! `invariant-checks` feature legs.
 
 use proptest::prelude::*;
 use rn_geom::EPSILON;
 use rn_graph::{EdgeId, NetPosition, NodeId, RoadNetwork};
 use rn_index::MiddleLayer;
 use rn_sp::apsp_oracle::{all_pairs_node_distances, position_distance_oracle};
-use rn_sp::{AltOracle, BlockOracle, EuclidBound, LbTarget, LowerBound};
+use rn_sp::{AltOracle, EuclidBound, LbTarget, LowerBound};
 use rn_storage::NetworkStore;
 use rn_workload::{generate_network, NetGenConfig};
 
@@ -80,13 +82,10 @@ proptest! {
         let store = NetworkStore::build(&net);
         let mid = MiddleLayer::build(&net, &[]);
         let alt = AltOracle::build(&net, &store, &mid, 5);
-        let block = BlockOracle::build(&net, &store, &mid, 8, 0.5);
 
         // Increases never invalidate: tables only under-estimate more.
         alt.note_weight_change(false);
-        block.note_weight_change(false);
         prop_assert!(!alt.is_degraded());
-        prop_assert!(!block.is_degraded());
 
         // Mutate: drop every stretched edge to its free-flow floor (the
         // deepest decrease the substrate permits), then notify.
@@ -103,9 +102,7 @@ proptest! {
             return Ok(()); // detour_prob 0.4 ⇒ almost never hit
         }
         alt.note_weight_change(true);
-        block.note_weight_change(true);
         prop_assert!(alt.is_degraded(), "decrease not detected by ALT");
-        prop_assert!(block.is_degraded(), "decrease not detected by block oracle");
 
         // Degraded bounds are exactly the Euclid floor and admissible
         // against APSP truth on the *mutated* network.
@@ -114,40 +111,38 @@ proptest! {
         let positions = sample_positions(&net, 9);
         let targets: Vec<LbTarget> = positions.iter().map(|p| LbTarget::of(&net, p)).collect();
         let n = net.node_count();
-        for (name, lb) in [("alt", &alt as &dyn LowerBound), ("block", &block)] {
-            for (i, (pa, ta)) in positions.iter().zip(&targets).enumerate() {
-                for (pb, tb) in positions.iter().zip(&targets).skip(i) {
-                    let got = lb.pair_bound(ta, tb);
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        EuclidBound.pair_bound(ta, tb).to_bits(),
-                        "{}: degraded pair bound is not the Euclid floor", name
-                    );
-                    let truth = pos_truth(pa, pb);
-                    prop_assert!(
-                        got <= truth + EPSILON,
-                        "{name}: degraded pair bound {got} > d_N {truth} on mutated net"
-                    );
-                }
+        for (i, (pa, ta)) in positions.iter().zip(&targets).enumerate() {
+            for (pb, tb) in positions.iter().zip(&targets).skip(i) {
+                let got = alt.pair_bound(ta, tb);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    EuclidBound.pair_bound(ta, tb).to_bits(),
+                    "degraded pair bound is not the Euclid floor"
+                );
+                let truth = pos_truth(pa, pb);
+                prop_assert!(
+                    got <= truth + EPSILON,
+                    "degraded pair bound {got} > d_N {truth} on mutated net"
+                );
             }
-            for u in (0..n).step_by((n / 13).max(1)).map(|i| NodeId(i as u32)) {
-                for t in &targets {
-                    let got = lb.node_bound(u, net.point(u), t);
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        EuclidBound.node_bound(u, net.point(u), t).to_bits(),
-                        "{}: degraded node bound is not the Euclid floor", name
-                    );
-                    let truth = node_to_target(&apsp, u, t);
-                    prop_assert!(
-                        got <= truth + EPSILON,
-                        "{name}: degraded node bound {got} > d_N {truth} on mutated net"
-                    );
-                }
-            }
-            // Degraded evaluations are metered as Euclid fallbacks.
-            prop_assert!(lb.counters().euclid_fallbacks > 0, "{}", name);
         }
+        for u in (0..n).step_by((n / 13).max(1)).map(|i| NodeId(i as u32)) {
+            for t in &targets {
+                let got = alt.node_bound(u, net.point(u), t);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    EuclidBound.node_bound(u, net.point(u), t).to_bits(),
+                    "degraded node bound is not the Euclid floor"
+                );
+                let truth = node_to_target(&apsp, u, t);
+                prop_assert!(
+                    got <= truth + EPSILON,
+                    "degraded node bound {got} > d_N {truth} on mutated net"
+                );
+            }
+        }
+        // Degraded evaluations are metered as Euclid fallbacks.
+        prop_assert!(alt.counters().euclid_fallbacks > 0);
     }
 
     #[test]
@@ -160,53 +155,49 @@ proptest! {
         let store = NetworkStore::build(&net);
         let mid = MiddleLayer::build(&net, &[]);
         let alt = AltOracle::build(&net, &store, &mid, 5);
-        let block = BlockOracle::build(&net, &store, &mid, 8, 0.5);
         let apsp = all_pairs_node_distances(&net);
         let pos_truth = position_distance_oracle(&net);
         let positions = sample_positions(&net, 11);
         let targets: Vec<LbTarget> = positions.iter().map(|p| LbTarget::of(&net, p)).collect();
-        let bounds: [(&str, &dyn LowerBound); 2] = [("alt", &alt), ("block", &block)];
 
-        for (name, lb) in bounds {
-            // pair_bound admissibility on position pairs.
-            for (i, (pa, ta)) in positions.iter().zip(&targets).enumerate() {
-                for (pb, tb) in positions.iter().zip(&targets).skip(i) {
-                    let got = lb.pair_bound(ta, tb);
-                    let truth = pos_truth(pa, pb);
-                    prop_assert!(
-                        got <= truth + EPSILON,
-                        "{name}: pair bound {got} > d_N {truth} ({pa:?} -> {pb:?})"
-                    );
-                }
+        // pair_bound admissibility on position pairs.
+        for (i, (pa, ta)) in positions.iter().zip(&targets).enumerate() {
+            for (pb, tb) in positions.iter().zip(&targets).skip(i) {
+                let got = alt.pair_bound(ta, tb);
+                let truth = pos_truth(pa, pb);
+                prop_assert!(
+                    got <= truth + EPSILON,
+                    "pair bound {got} > d_N {truth} ({pa:?} -> {pb:?})"
+                );
             }
-            // node_bound admissibility from a stride of source nodes.
-            let n = net.node_count();
-            for u in (0..n).step_by((n / 17).max(1)).map(|i| NodeId(i as u32)) {
-                for t in &targets {
-                    let got = lb.node_bound(u, net.point(u), t);
-                    let truth = node_to_target(&apsp, u, t);
-                    prop_assert!(
-                        got <= truth + EPSILON,
-                        "{name}: node bound {got} > d_N {truth} (node {u:?} -> {t:?})"
-                    );
-                }
+        }
+        // node_bound admissibility from a stride of source nodes.
+        let n = net.node_count();
+        for u in (0..n).step_by((n / 17).max(1)).map(|i| NodeId(i as u32)) {
+            for t in &targets {
+                let got = alt.node_bound(u, net.point(u), t);
+                let truth = node_to_target(&apsp, u, t);
+                prop_assert!(
+                    got <= truth + EPSILON,
+                    "node bound {got} > d_N {truth} (node {u:?} -> {t:?})"
+                );
             }
-            // Consistency across every edge, for every sampled target.
-            for (ei, e) in net.edges().iter().enumerate() {
-                for t in &targets {
-                    let bu = lb.node_bound(e.u, net.point(e.u), t);
-                    let bv = lb.node_bound(e.v, net.point(e.v), t);
-                    prop_assert!(
-                        bu <= e.length + bv + EPSILON,
-                        "{name}: inconsistent at edge {ei}: {bu} > {} + {bv}",
-                        e.length
-                    );
-                    prop_assert!(
-                        bv <= e.length + bu + EPSILON,
-                        "{name}: inconsistent at edge {ei} (rev): {bv} > {} + {bu}",
-                        e.length
-                    );
-                }
+        }
+        // Consistency across every edge, for every sampled target.
+        for (ei, e) in net.edges().iter().enumerate() {
+            for t in &targets {
+                let bu = alt.node_bound(e.u, net.point(e.u), t);
+                let bv = alt.node_bound(e.v, net.point(e.v), t);
+                prop_assert!(
+                    bu <= e.length + bv + EPSILON,
+                    "inconsistent at edge {ei}: {bu} > {} + {bv}",
+                    e.length
+                );
+                prop_assert!(
+                    bv <= e.length + bu + EPSILON,
+                    "inconsistent at edge {ei} (rev): {bv} > {} + {bu}",
+                    e.length
+                );
             }
         }
     }
