@@ -1,5 +1,5 @@
-//! Dynamic-maintenance comparison: incremental skyline upkeep vs
-//! from-scratch recomputation under churn, emitting `BENCH_8.json`. Run
+//! Dynamic-maintenance comparison: incremental skyline upkeep vs a fresh
+//! registration after every churn batch, emitting `BENCH_8.json`. Run
 //! with `cargo bench -p rn-bench --bench dynamic`. Environment knobs:
 //! `MSQ_SEEDS`.
 

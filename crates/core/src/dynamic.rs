@@ -3,23 +3,20 @@
 //!
 //! A [`DynamicEngine`] wraps a [`SkylineEngine`] and keeps, for every
 //! *registered* query, the exact network-distance vector of every live
-//! object. Applying an [`UpdateBatch`] re-derives only what the batch can
-//! have touched:
+//! object. Every row is resolved one way: one A\* engine per query point,
+//! its settled map shared across the rows it resolves. Registration
+//! resolves every live row; applying an [`UpdateBatch`] re-resolves only
+//! the rows the batch can have touched:
 //!
+//! * every row of a query whose own points sit on a re-weighted edge;
 //! * objects sitting on a re-weighted edge (their along-edge position
-//!   changes with the weight), inserted objects, and queries whose own
-//!   points sit on a re-weighted edge are unconditionally dirty;
+//!   changes with the weight) and inserted objects;
 //! * every other `(query point, object)` pair is kept when a sound
 //!   *blast-radius certificate* proves no path through a changed edge can
 //!   alter its exact distance (see [the invalidation rule](#invalidation)),
-//!   re-resolved through A\* otherwise;
+//!   re-resolved otherwise;
 //! * deletions cost zero expansions — the retired row simply stops
 //!   participating in dominance adjudication.
-//!
-//! When the dirty fraction of a query exceeds
-//! [`DynamicConfig::full_recompute_fraction`], the engine abandons
-//! surgical repair and refills the whole table with the same INE drains a
-//! from-scratch run would use.
 //!
 //! # Invalidation
 //!
@@ -39,18 +36,27 @@
 //! old side is evaluated before the substrates mutate and the new side
 //! after the staleness protocol (degrade-to-Euclid or rebuild) has run.
 //!
+//! Both tests compare against `v` raised by the relative slack
+//! `CERT_TOLERANCE`. A bound can be exact (ALT's often is, Euclid's
+//! along straight edges), and then the rounded sum can land an ulp above
+//! the rounded `v` of a path that does cross the edge; the slack covers
+//! the rounding of both sums (DESIGN.md §15.2).
+//!
 //! # Bitwise contract
 //!
 //! After any update sequence, [`DynamicEngine::skyline`] is bitwise
 //! identical — object ids, vectors, and completeness — to a from-scratch
 //! [`SkylineEngine`] built over the mutated network and the surviving
-//! slot layout ([`DynamicEngine::scratch_engine`]). Two mechanisms carry
+//! slot layout ([`DynamicEngine::scratch_engine`]). Three mechanisms carry
 //! the contract: object and query positions are stored as *weight
 //! fractions* and re-derived as `frac * weight` (never rescaled
 //! incrementally), so applying a batch and its
-//! [`UpdateBatch::inverse`] restores every coordinate bit-for-bit; and
+//! [`UpdateBatch::inverse`] restores every coordinate bit-for-bit;
 //! certified-clean entries are, by the argument above, exactly the
-//! distances a scratch run would compute.
+//! distances a scratch run would compute; and an A\* row is the same
+//! float sum an INE drain reports (DESIGN.md §15.2). With
+//! `invariant-checks` on, [`DynamicEngine::apply`] re-resolves every
+//! certified-clean live row and asserts it bitwise.
 
 use crate::engine::SkylineEngine;
 use crate::stats::SkylinePoint;
@@ -58,7 +64,7 @@ use rn_geom::Mbr;
 use rn_graph::{EdgeId, NetPosition, NodeId, ObjectId, RoadNetwork, Update, UpdateBatch};
 use rn_obs::{Metric, QueryTrace};
 use rn_skyline::brute_force_skyline;
-use rn_sp::{AStar, IncrementalExpansion, LbTarget, NetCtx};
+use rn_sp::{AStar, LbTarget, NetCtx};
 
 /// What happens to a precomputed lower-bound oracle when a batch lowers
 /// an edge weight (increases never invalidate it — see
@@ -75,25 +81,10 @@ pub enum OracleMaintenance {
     Rebuild,
 }
 
-/// Tuning knobs for a [`DynamicEngine`].
-#[derive(Clone, Copy, Debug)]
-pub struct DynamicConfig {
-    /// When the dirty objects of a query exceed this fraction of the live
-    /// population, the query's table is refilled from scratch (INE
-    /// drains) instead of repaired surgically.
-    pub full_recompute_fraction: f64,
-    /// Oracle staleness policy for weight decreases.
-    pub oracle: OracleMaintenance,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            full_recompute_fraction: 0.25,
-            oracle: OracleMaintenance::Degrade,
-        }
-    }
-}
+/// Relative slack on the certificate comparisons: a row stays clean only
+/// when the bound sum clears `v + v * CERT_TOLERANCE` (see
+/// [the invalidation rule](self#invalidation) and DESIGN.md §15.2).
+const CERT_TOLERANCE: f64 = 1e-9;
 
 /// Handle to a registered query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,15 +95,19 @@ pub struct QueryId(usize);
 pub struct MaintenanceOutcome {
     /// Updates applied (`dyn.updates.applied`).
     pub updates: u64,
-    /// Dirty `(query, object)` rows re-resolved (`dyn.candidates.invalidated`).
+    /// Live `(query, object)` rows re-resolved
+    /// (`dyn.candidates.invalidated`).
     pub invalidated: u64,
-    /// Registered queries repaired surgically (`dyn.recompute.incremental`).
+    /// Registered queries that re-resolved some, but not all, of their
+    /// live rows (`dyn.recompute.incremental`).
     pub incremental: u64,
-    /// Registered queries refilled from scratch (`dyn.recompute.full`).
+    /// Registered queries that re-resolved every live row: the query's
+    /// own points moved, or no certificate kept a row clean
+    /// (`dyn.recompute.full`).
     pub full: u64,
     /// Oracle rebuilds triggered (`dyn.oracle.rebuilds`).
     pub oracle_rebuilds: u64,
-    /// Wavefront/engine node expansions the maintenance work cost.
+    /// A\* node expansions the re-resolved rows cost.
     pub expansions: u64,
 }
 
@@ -135,7 +130,7 @@ struct RegisteredQuery {
 /// bitwise contract.
 pub struct DynamicEngine {
     engine: SkylineEngine,
-    cfg: DynamicConfig,
+    oracle: OracleMaintenance,
     /// Per object slot: weight fraction along its edge (inert for
     /// retired slots).
     fracs: Vec<f64>,
@@ -145,22 +140,19 @@ pub struct DynamicEngine {
 }
 
 impl DynamicEngine {
-    /// Wraps `engine` with the default [`DynamicConfig`].
+    /// Wraps `engine` under the default [`OracleMaintenance::Degrade`]
+    /// policy.
     ///
     /// Canonicalises every live object position to `frac * weight` form
     /// (a one-time bitwise nudge of at most one ulp per offset), so that
     /// every later re-derivation — including the one a batch-plus-inverse
     /// round trip performs — reproduces offsets exactly.
     pub fn new(engine: SkylineEngine) -> Self {
-        Self::with_config(engine, DynamicConfig::default())
+        Self::with_config(engine, OracleMaintenance::default())
     }
 
-    /// Wraps `engine` with explicit tuning knobs.
-    pub fn with_config(mut engine: SkylineEngine, cfg: DynamicConfig) -> Self {
-        assert!(
-            cfg.full_recompute_fraction > 0.0 && cfg.full_recompute_fraction.is_finite(),
-            "full_recompute_fraction must be finite and positive"
-        );
+    /// Wraps `engine` under an explicit oracle staleness policy.
+    pub fn with_config(mut engine: SkylineEngine, oracle: OracleMaintenance) -> Self {
         let slots = engine.mid_ref().object_count();
         let mut fracs = vec![0.0; slots];
         let mut moved = false;
@@ -188,7 +180,7 @@ impl DynamicEngine {
         }
         DynamicEngine {
             engine,
-            cfg,
+            oracle,
             fracs,
             queries: Vec::new(),
             trace: QueryTrace::new(),
@@ -218,7 +210,8 @@ impl DynamicEngine {
     }
 
     /// Registers a query for incremental maintenance and pays the initial
-    /// exact fill (one INE drain per query point, like the brute oracle).
+    /// exact fill: every live row, resolved through A\* like any
+    /// re-resolved row.
     ///
     /// # Panics
     /// Panics when `points` is empty.
@@ -229,7 +222,7 @@ impl DynamicEngine {
             edges: points.iter().map(|p| p.edge).collect(),
             fracs: Vec::with_capacity(points.len()),
             points: Vec::with_capacity(points.len()),
-            table: Vec::new(),
+            table: vec![vec![f64::INFINITY; points.len()]; self.fracs.len()],
         };
         for p in points {
             let w = net.edge(p.edge).length;
@@ -237,10 +230,12 @@ impl DynamicEngine {
             q.fracs.push(frac);
             q.points.push(NetPosition::new(p.edge, frac * w));
         }
-        let (_, expansions) = self.refill(&mut q);
-        self.trace.add(Metric::SpHeapPops, expansions);
         self.queries.push(q);
-        QueryId(self.queries.len() - 1)
+        let qi = self.queries.len() - 1;
+        let rows = self.live_objects();
+        let expansions = self.resolve_rows(qi, &rows);
+        self.trace.add(Metric::SpHeapPops, expansions);
+        QueryId(qi)
     }
 
     /// The maintained skyline of a registered query: live objects whose
@@ -284,9 +279,9 @@ impl DynamicEngine {
 
     /// Applies one update batch: mutates every substrate (network
     /// weights, disk image, middle layer, object R-tree), runs the
-    /// oracle staleness protocol, and repairs every registered query's
-    /// table. Returns what it did; the same counters accumulate in
-    /// [`DynamicEngine::trace`].
+    /// oracle staleness protocol, and re-resolves the rows of every
+    /// registered query that no certificate keeps clean. Returns what it
+    /// did; the same counters accumulate in [`DynamicEngine::trace`].
     pub fn apply(&mut self, batch: &UpdateBatch) -> MaintenanceOutcome {
         let mut out = MaintenanceOutcome {
             updates: batch.len() as u64,
@@ -298,15 +293,15 @@ impl DynamicEngine {
         let touched = batch.touched_edges();
 
         // Per query: dirty flags over the pre-batch slot space (inserted
-        // slots are appended as unconditionally dirty later), plus
-        // whether the query's own points move.
+        // slots are appended as unconditionally dirty later). A query
+        // whose own points move re-resolves every row.
         let slots = self.fracs.len();
-        let mut dirty: Vec<Vec<bool>> = vec![vec![false; slots]; self.queries.len()];
         let query_moved: Vec<bool> = self
             .queries
             .iter()
             .map(|q| q.edges.iter().any(|e| touched.binary_search(e).is_ok()))
             .collect();
+        let mut dirty: Vec<Vec<bool>> = query_moved.iter().map(|&m| vec![m; slots]).collect();
 
         // Old-side certificates (weight increases) against the pre-batch
         // bound, which is admissible on the pre-batch graph.
@@ -320,7 +315,7 @@ impl DynamicEngine {
 
         // Oracle staleness protocol (DESIGN.md §15.3).
         if any_decrease {
-            match self.cfg.oracle {
+            match self.oracle {
                 OracleMaintenance::Degrade => {
                     self.engine.bound_ref().note_weight_change(true);
                 }
@@ -340,14 +335,9 @@ impl DynamicEngine {
             let falling: Vec<&WeightDelta> = deltas.iter().filter(|d| d.w_new < d.w_old).collect();
             self.certify(&falling, CertSide::New, &touched, &query_moved, &mut dirty);
         }
-        for (qi, q) in self.queries.iter().enumerate() {
-            if query_moved[qi] {
-                continue;
-            }
+        for d in &mut dirty {
             for &o in &moved_objects {
-                if o.idx() < q.table.len() {
-                    dirty[qi][o.idx()] = true;
-                }
+                d[o.idx()] = true;
             }
         }
 
@@ -363,54 +353,29 @@ impl DynamicEngine {
             }
         }
 
-        // --- repair every registered query ---
-        let mid = self.engine.mid_ref();
-        let live_count = (0..self.fracs.len())
-            .filter(|&i| mid.is_live(ObjectId(i as u32)))
-            .count();
-        for qi in 0..self.queries.len() {
-            // Grow per-query state over slots inserted by this batch;
-            // new slots are unconditionally dirty.
+        // --- re-resolve the dirty rows of every registered query ---
+        let live = self.live_objects();
+        for (qi, mut dirty_slots) in dirty.into_iter().enumerate() {
+            // Slots inserted by this batch are unconditionally dirty.
+            dirty_slots.resize(self.fracs.len(), true);
             let arity = self.queries[qi].points.len();
-            while self.queries[qi].table.len() < self.fracs.len() {
-                self.queries[qi].table.push(vec![f64::INFINITY; arity]);
+            self.queries[qi]
+                .table
+                .resize(self.fracs.len(), vec![f64::INFINITY; arity]);
+            let (rows, clean): (Vec<ObjectId>, Vec<ObjectId>) =
+                live.iter().partition(|o| dirty_slots[o.idx()]);
+            #[cfg(feature = "invariant-checks")]
+            self.check_certified(qi, &clean);
+            if rows.is_empty() {
+                continue;
             }
-            while dirty[qi].len() < self.fracs.len() {
-                dirty[qi].push(true);
-            }
-            let mid = self.engine.mid_ref();
-            let dirty_live: Vec<ObjectId> = dirty[qi]
-                .iter()
-                .enumerate()
-                .filter(|&(i, &d)| d && mid.is_live(ObjectId(i as u32)))
-                .map(|(i, _)| ObjectId(i as u32))
-                .collect();
-            let fraction = if live_count == 0 {
-                0.0
-            } else {
-                dirty_live.len() as f64 / live_count as f64
-            };
-            if query_moved[qi] || fraction > self.cfg.full_recompute_fraction {
-                let mut q = std::mem::replace(
-                    &mut self.queries[qi],
-                    RegisteredQuery {
-                        edges: Vec::new(),
-                        fracs: Vec::new(),
-                        points: Vec::new(),
-                        table: Vec::new(),
-                    },
-                );
-                let (invalidated, expansions) = self.refill(&mut q);
-                self.queries[qi] = q;
+            if clean.is_empty() {
                 out.full += 1;
-                out.invalidated += invalidated;
-                out.expansions += expansions;
-            } else if !dirty_live.is_empty() {
-                let expansions = self.repair(qi, &dirty_live);
+            } else {
                 out.incremental += 1;
-                out.invalidated += dirty_live.len() as u64;
-                out.expansions += expansions;
             }
+            out.invalidated += rows.len() as u64;
+            out.expansions += self.resolve_rows(qi, &rows);
         }
 
         self.trace.add(Metric::DynUpdatesApplied, out.updates);
@@ -440,7 +405,7 @@ impl DynamicEngine {
         let mid = self.engine.mid_ref();
         for (qi, q) in self.queries.iter().enumerate() {
             if query_moved[qi] {
-                continue; // the whole query refills anyway
+                continue; // every row re-resolves anyway
             }
             // lb(query point k, endpoint) per delta, both endpoints.
             let q_targets: Vec<LbTarget> = q.points.iter().map(|p| LbTarget::of(net, p)).collect();
@@ -483,9 +448,10 @@ impl DynamicEngine {
                         }
                         let (qu, qv) = qb[di][k];
                         let through = (qu + w + ov).min(qv + w + ou);
+                        let margin = v + v * CERT_TOLERANCE;
                         let clean = match side {
-                            CertSide::Old => through > *v,
-                            CertSide::New => through >= *v,
+                            CertSide::Old => through > margin,
+                            CertSide::New => through >= margin,
                         };
                         if !clean {
                             dirty[qi][slot] = true;
@@ -568,60 +534,61 @@ impl DynamicEngine {
         moved
     }
 
-    /// Refills a query's whole table with INE drains — the same machinery
-    /// (and therefore the same `f64` path sums) as a scratch brute run.
-    /// Returns `(rows filled, expansions)`.
-    fn refill(&self, q: &mut RegisteredQuery) -> (u64, u64) {
-        let slots = self.fracs.len();
-        let arity = q.points.len();
-        q.table = vec![vec![f64::INFINITY; arity]; slots];
-        let ctx = NetCtx::new(
-            self.engine.network(),
-            self.engine.store_ref(),
-            self.engine.mid_ref(),
-        )
-        .with_bound(self.engine.bound_ref());
-        let mut expansions = 0u64;
-        for (k, p) in q.points.iter().enumerate() {
-            let mut ine = IncrementalExpansion::new(&ctx, *p);
-            for (obj, d) in ine.drain() {
-                q.table[obj.idx()][k] = d;
-            }
-            expansions += ine.wavefront().settled_count();
-        }
+    /// The exact distances from each of query `qi`'s points to `rows`,
+    /// as `cols[k][j] = d_N(q_k, rows[j])`, plus the expansions spent:
+    /// one A\* engine per query point, its settled map shared across the
+    /// rows. The one way this engine resolves a row.
+    fn resolve(&self, qi: usize, rows: &[ObjectId]) -> (Vec<Vec<f64>>, u64) {
         let mid = self.engine.mid_ref();
-        let live = (0..slots)
-            .filter(|&i| mid.is_live(ObjectId(i as u32)))
-            .count() as u64;
-        (live, expansions)
+        let positions: Vec<NetPosition> = rows.iter().map(|&o| mid.position(o)).collect();
+        let ctx = NetCtx::new(self.engine.network(), self.engine.store_ref(), mid);
+        let mut expansions = 0u64;
+        let cols = self.queries[qi]
+            .points
+            .iter()
+            .map(|p| {
+                let mut astar = AStar::new(&ctx, *p);
+                let col = positions
+                    .iter()
+                    .map(|&pos| astar.distance_to(pos))
+                    .collect();
+                expansions += astar.expansions();
+                col
+            })
+            .collect();
+        (cols, expansions)
     }
 
-    /// Re-resolves the dirty rows of one query through A\* (one engine
-    /// per query point, its settled map shared across the whole dirty
-    /// set). Returns the expansions spent.
-    fn repair(&mut self, qi: usize, dirty: &[ObjectId]) -> u64 {
-        let mid = self.engine.mid_ref();
-        let positions: Vec<NetPosition> = dirty.iter().map(|&o| mid.position(o)).collect();
-        let ctx = NetCtx::new(
-            self.engine.network(),
-            self.engine.store_ref(),
-            self.engine.mid_ref(),
-        )
-        .with_bound(self.engine.bound_ref());
-        let mut expansions = 0u64;
-        let mut resolved: Vec<Vec<f64>> = Vec::with_capacity(self.queries[qi].points.len());
-        for p in &self.queries[qi].points {
-            let mut astar = AStar::new(&ctx, *p);
-            resolved.push(astar.distances_to_pack(&positions));
-            expansions += astar.expansions();
-        }
-        let q = &mut self.queries[qi];
-        for (j, &o) in dirty.iter().enumerate() {
-            for (k, col) in resolved.iter().enumerate() {
-                q.table[o.idx()][k] = col[j];
+    /// Resolves `rows` of query `qi` into its table. Returns the
+    /// expansions spent.
+    fn resolve_rows(&mut self, qi: usize, rows: &[ObjectId]) -> u64 {
+        let (cols, expansions) = self.resolve(qi, rows);
+        let table = &mut self.queries[qi].table;
+        for (k, col) in cols.iter().enumerate() {
+            for (&o, &d) in rows.iter().zip(col) {
+                table[o.idx()][k] = d;
             }
         }
         expansions
+    }
+
+    /// Contract: every row the certificates kept is the distance a fresh
+    /// resolution computes on the mutated network, bit for bit. Its
+    /// expansions are not counted.
+    #[cfg(feature = "invariant-checks")]
+    fn check_certified(&self, qi: usize, clean: &[ObjectId]) {
+        let (cols, _) = self.resolve(qi, clean);
+        for (k, col) in cols.iter().enumerate() {
+            for (&o, &fresh) in clean.iter().zip(col) {
+                let kept = self.queries[qi].table[o.idx()][k];
+                assert_eq!(
+                    kept.to_bits(),
+                    fresh.to_bits(),
+                    "certified row unsound: query {qi}, point {k}, object {o:?} kept {kept} \
+                     but re-resolves to {fresh}"
+                );
+            }
+        }
     }
 }
 
@@ -794,22 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn high_churn_falls_back_to_full_recompute() {
-        let mut d = DynamicEngine::with_config(
-            grid_engine(),
-            DynamicConfig {
-                full_recompute_fraction: 0.0001,
-                oracle: OracleMaintenance::Degrade,
-            },
-        );
+    fn moved_query_point_re_resolves_every_live_row() {
+        let mut d = DynamicEngine::new(grid_engine());
         let queries = rn_workload::generate_queries(d.engine().network(), 2, 0.5, 37);
         let q = d.register_query(&queries);
-        let w0 = d.engine().network().edge(EdgeId(0)).length;
+        let e = d.query_points(q)[0].edge;
+        let w = d.engine().network().edge(e).length;
         let out = d.apply(&UpdateBatch::new(vec![Update::SetEdgeWeight {
-            edge: EdgeId(0),
-            weight: w0 * 0.5, // decrease: clamps to the floor, degrades oracle
+            edge: e,
+            weight: w * 1.5,
         }]));
-        assert_eq!(out.full + out.incremental, 1);
+        assert_eq!((out.full, out.incremental), (1, 0));
+        assert_eq!(out.invalidated, d.live_objects().len() as u64);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
         assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));

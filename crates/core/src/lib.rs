@@ -74,7 +74,7 @@ pub mod stats;
 
 pub use attrs::AttrTable;
 pub use batch::{BatchEngine, BatchOutcome};
-pub use dynamic::{DynamicConfig, DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
+pub use dynamic::{DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
 pub use engine::{
     Algorithm, Completion, Exec, PartialInfo, QueryInput, QueryPlan, SkylineEngine, SkylineResult,
     SourceStrategy, UnresolvedCandidate,

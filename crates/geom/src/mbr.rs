@@ -139,15 +139,6 @@ impl Mbr {
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Maximum Euclidean distance from `p` to any point of the rectangle.
-    /// Used as an upper bound when pruning dominated sub-trees.
-    #[inline]
-    pub fn max_dist(&self, p: &Point) -> f64 {
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -210,12 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn max_dist_from_corner() {
-        let m = mbr(0.0, 0.0, 3.0, 4.0);
-        assert!(approx_eq(m.max_dist(&Point::new(0.0, 0.0)), 5.0));
-    }
-
-    #[test]
     fn enlargement_zero_when_contained() {
         let a = mbr(0.0, 0.0, 10.0, 10.0);
         let b = mbr(1.0, 1.0, 2.0, 2.0);
@@ -239,7 +224,17 @@ mod tests {
 
         #[test]
         fn min_dist_le_max_dist(m in arb_mbr(), p in arb_pt()) {
-            prop_assert!(m.min_dist(&p) <= m.max_dist(&p) + 1e-9);
+            // The farthest point of a rectangle is one of its corners.
+            let max_dist = [
+                m.min,
+                m.max,
+                Point::new(m.min.x, m.max.y),
+                Point::new(m.max.x, m.min.y),
+            ]
+            .iter()
+            .map(|c| p.distance(c))
+            .fold(0.0, f64::max);
+            prop_assert!(m.min_dist(&p) <= max_dist + 1e-9);
         }
 
         #[test]

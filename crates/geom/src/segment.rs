@@ -56,11 +56,6 @@ impl Segment {
         (v.dot(&d) / len_sq).clamp(0.0, 1.0)
     }
 
-    /// Minimum Euclidean distance from `p` to the segment.
-    pub fn distance_to_point(&self, p: &Point) -> f64 {
-        self.point_at(self.project(p)).distance(p)
-    }
-
     /// Bounding rectangle of the segment.
     #[inline]
     pub fn mbr(&self) -> Mbr {
@@ -98,8 +93,9 @@ mod tests {
     #[test]
     fn project_perpendicular_foot() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        assert!(approx_eq(s.project(&Point::new(4.0, 7.0)), 0.4));
-        assert!(approx_eq(s.distance_to_point(&Point::new(4.0, 7.0)), 7.0));
+        let p = Point::new(4.0, 7.0);
+        assert!(approx_eq(s.project(&p), 0.4));
+        assert!(approx_eq(s.point_at(s.project(&p)).distance(&p), 7.0));
     }
 
     #[test]
@@ -107,7 +103,8 @@ mod tests {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
         assert_eq!(s.project(&Point::new(-5.0, 1.0)), 0.0);
         assert_eq!(s.project(&Point::new(15.0, 1.0)), 1.0);
-        assert!(approx_eq(s.distance_to_point(&Point::new(13.0, 4.0)), 5.0));
+        let p = Point::new(13.0, 4.0);
+        assert!(approx_eq(s.point_at(s.project(&p)).distance(&p), 5.0));
     }
 
     #[test]
@@ -129,7 +126,7 @@ mod tests {
             let t = s.project(&p);
             prop_assert!((0.0..=1.0).contains(&t));
             // The projected point can be no farther from p than either endpoint.
-            let d = s.distance_to_point(&p);
+            let d = s.point_at(t).distance(&p);
             prop_assert!(d <= p.distance(&a) + 1e-9);
             prop_assert!(d <= p.distance(&b) + 1e-9);
         }

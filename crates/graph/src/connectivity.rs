@@ -2,11 +2,10 @@
 //!
 //! Every experiment in the paper implicitly assumes finite network
 //! distances between query points and all candidate objects. The workload
-//! generator therefore extracts the largest connected component before
-//! placing objects; this module supplies the machinery.
+//! generator builds connected networks by construction (a spanning tree
+//! first); this module lets tests check it.
 
 use crate::network::{NodeId, RoadNetwork};
-use crate::NetworkBuilder;
 
 /// Label of the connected component of each node: `labels[n] == labels[m]`
 /// iff `n` and `m` are connected. Labels are dense `0..component_count`.
@@ -48,48 +47,10 @@ pub fn is_connected(g: &RoadNetwork) -> bool {
     components(g).count <= 1
 }
 
-/// Extracts the largest connected component as a new network.
-///
-/// Node and edge ids are re-assigned densely. Returns a clone of the input
-/// when it is already connected.
-pub fn largest_component(g: &RoadNetwork) -> RoadNetwork {
-    let comps = components(g);
-    if comps.count <= 1 {
-        return g.clone();
-    }
-    // Find the component with most nodes.
-    let mut sizes = vec![0usize; comps.count as usize];
-    for &l in &comps.labels {
-        sizes[l as usize] += 1;
-    }
-    let best = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, s)| **s)
-        .map(|(i, _)| i as u32)
-        .unwrap_or(0);
-
-    let mut b = NetworkBuilder::with_capacity(sizes[best as usize], g.edge_count());
-    let mut remap = vec![u32::MAX; g.node_count()];
-    for n in g.node_ids() {
-        if comps.labels[n.idx()] == best {
-            let new = b.add_node(g.point(n));
-            remap[n.idx()] = new.0;
-        }
-    }
-    for e in g.edges() {
-        let (u, v) = (remap[e.u.idx()], remap[e.v.idx()]);
-        if u != u32::MAX && v != u32::MAX {
-            b.add_polyline_edge(NodeId(u), NodeId(v), e.geometry.clone())
-                .expect("edge was valid in the source network");
-        }
-    }
-    b.build().expect("subgraph of a valid network is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkBuilder;
     use rn_geom::Point;
 
     fn two_islands() -> RoadNetwork {
@@ -118,27 +79,6 @@ mod tests {
         assert_eq!(c.labels[0], c.labels[2]);
         assert_eq!(c.labels[3], c.labels[4]);
         assert_ne!(c.labels[0], c.labels[3]);
-    }
-
-    #[test]
-    fn largest_component_keeps_triangle() {
-        let g = two_islands();
-        let big = largest_component(&g);
-        assert_eq!(big.node_count(), 3);
-        assert_eq!(big.edge_count(), 3);
-        assert!(is_connected(&big));
-    }
-
-    #[test]
-    fn connected_network_is_returned_intact() {
-        let mut b = NetworkBuilder::new();
-        let n0 = b.add_node(Point::new(0.0, 0.0));
-        let n1 = b.add_node(Point::new(1.0, 0.0));
-        b.add_straight_edge(n0, n1).unwrap();
-        let g = b.build().unwrap();
-        let same = largest_component(&g);
-        assert_eq!(same.node_count(), g.node_count());
-        assert_eq!(same.edge_count(), g.edge_count());
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl UpdateBatch {
         edges
     }
 
-    /// `true` when, against the current weights of `net`, any update in
-    /// this batch *lowers* an edge weight. Decreases are what invalidate
-    /// precomputed lower-bound tables (DESIGN.md §15.3).
-    pub fn has_weight_decrease(&self, net: &RoadNetwork) -> bool {
-        self.updates.iter().any(|u| match u {
-            Update::SetEdgeWeight { edge, weight } => *weight < net.edge(*edge).length,
-            _ => false,
-        })
-    }
-
     /// The exact inverse of this batch against the pre-application state.
     ///
     /// * weight updates record the old absolute weight of `net_before`, so
@@ -171,8 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn touched_edges_and_decrease_detection() {
-        let net = two_edge_net();
+    fn touched_edges_lists_reweighted_edges() {
         let b = UpdateBatch::new(vec![
             Update::SetEdgeWeight {
                 edge: EdgeId(1),
@@ -183,13 +172,6 @@ mod tests {
             },
         ]);
         assert_eq!(b.touched_edges(), vec![EdgeId(1)]);
-        assert!(b.has_weight_decrease(&net), "14 -> 12 is a decrease");
-
-        let up = UpdateBatch::new(vec![Update::SetEdgeWeight {
-            edge: EdgeId(1),
-            weight: 15.0,
-        }]);
-        assert!(!up.has_weight_decrease(&net));
     }
 
     #[test]

@@ -189,11 +189,6 @@ pub fn load_network(path: &Path) -> Result<RoadNetwork, IoError> {
     read_network(std::fs::File::open(path)?)
 }
 
-/// Convenience: save a network to a file path.
-pub fn save_network(g: &RoadNetwork, path: &Path) -> std::io::Result<()> {
-    write_network(g, std::fs::File::create(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +345,7 @@ e 0 2 p 0 10
         let dir = std::env::temp_dir().join("rn_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("net.txt");
-        save_network(&g, &path).unwrap();
+        write_network(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let g2 = load_network(&path).unwrap();
         assert_eq!(g2.node_count(), 3);
         std::fs::remove_file(&path).ok();

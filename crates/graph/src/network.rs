@@ -321,14 +321,6 @@ impl RoadNetwork {
             sum / k as f64
         }
     }
-
-    /// Spatial node density: junctions per unit area of the network MBR.
-    pub fn node_density(&self) -> f64 {
-        match self.mbr() {
-            Some(m) if m.area() > 0.0 => self.node_count() as f64 / m.area(),
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! stray far from their bounding boxes.
 
 use crate::rtree::RTree;
-use rn_geom::{Mbr, Point};
+use rn_geom::Point;
 use rn_graph::{EdgeId, NetPosition, RoadNetwork};
 
 /// Spatial index over a network's edges.
@@ -62,17 +62,12 @@ impl EdgeLocator {
         let (_, offset) = net.edge(edge).geometry.closest_offset(&p);
         Some((NetPosition::new(edge, offset), dist))
     }
-
-    /// All edges whose geometry bounding box intersects `window`.
-    pub fn edges_in_window(&self, window: &Mbr) -> Vec<EdgeId> {
-        self.tree.window(window).into_iter().copied().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rn_geom::Polyline;
+    use rn_geom::{Mbr, Polyline};
     use rn_graph::NetworkBuilder;
 
     fn cross() -> RoadNetwork {
@@ -151,7 +146,7 @@ mod tests {
         let net = cross();
         let loc = EdgeLocator::build(&net);
         let east = Mbr::new(Point::new(2.0, -1.0), Point::new(8.0, 1.0));
-        let got = loc.edges_in_window(&east);
+        let got: Vec<EdgeId> = loc.tree.window(&east).into_iter().copied().collect();
         assert!(got.contains(&EdgeId(0)));
         assert!(!got.contains(&EdgeId(2)));
     }

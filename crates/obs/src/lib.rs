@@ -120,15 +120,16 @@ pub enum Metric {
     /// Dynamic layer: individual updates (weight deltas, object
     /// inserts/deletes) applied to the substrate (DESIGN.md §15).
     DynUpdatesApplied,
-    /// Dynamic layer: maintained candidates whose distance vector a
-    /// batch invalidated (blast-radius test failed, object on a touched
-    /// edge, or freshly inserted) and that were re-resolved.
+    /// Dynamic layer: live `(query, object)` rows a batch re-resolved
+    /// through A\* (blast-radius test failed, object on a touched edge,
+    /// freshly inserted, or the query's own point moved).
     DynCandidatesInvalidated,
-    /// Dynamic layer: batches maintained incrementally (only the dirty
-    /// candidates re-resolved via A*).
+    /// Dynamic layer: per batch, registered queries that re-resolved
+    /// some, but not all, of their live rows.
     DynRecomputeIncremental,
-    /// Dynamic layer: batches where the dirty set crossed the fallback
-    /// threshold and the whole vector table was recomputed from scratch.
+    /// Dynamic layer: per batch, registered queries that re-resolved
+    /// every live row (the query's own point moved, or no certificate
+    /// kept a row clean).
     DynRecomputeFull,
     /// Dynamic layer: lower-bound oracle rebuilds forced by weight
     /// decreases under the rebuild policy.

@@ -56,15 +56,6 @@ pub fn dominates_or_equal(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-/// `true` when `v` is dominated by any vector in `set`.
-#[inline]
-pub fn dominated_by_any<'a, I>(set: I, v: &[f64]) -> bool
-where
-    I: IntoIterator<Item = &'a [f64]>,
-{
-    set.into_iter().any(|s| dominates(s, v))
-}
-
 /// O(n²) reference skyline: indices of the non-dominated rows.
 ///
 /// Used as ground truth by every skyline test in the workspace.
@@ -114,19 +105,6 @@ mod tests {
             vec![2.0, 4.0], // duplicate of row 1: both stay
         ];
         assert_eq!(brute_force_skyline(&rows), vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn dominated_by_any_works() {
-        let set = [vec![1.0, 1.0], vec![0.0, 5.0]];
-        assert!(dominated_by_any(
-            set.iter().map(|v| v.as_slice()),
-            &[2.0, 2.0]
-        ));
-        assert!(!dominated_by_any(
-            set.iter().map(|v| v.as_slice()),
-            &[0.5, 0.5]
-        ));
     }
 
     proptest! {

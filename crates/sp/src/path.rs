@@ -29,14 +29,6 @@ pub struct NetPath {
     pub edges: Vec<EdgeId>,
 }
 
-impl NetPath {
-    /// `true` when source and target shared an edge and the path never
-    /// crossed a junction.
-    pub fn is_single_edge(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
 /// One-shot shortest-path solver with parent tracking.
 pub struct PathFinder<'a> {
     ctx: &'a NetCtx<'a>,
@@ -218,7 +210,7 @@ mod tests {
         dst: &NetPosition,
         path: &NetPath,
     ) {
-        if path.is_single_edge() {
+        if path.nodes.is_empty() {
             assert_eq!(path.edges, vec![src.edge]);
             assert_eq!(src.edge, dst.edge);
             assert!(approx_eq(path.length, (src.offset - dst.offset).abs()));
@@ -300,7 +292,7 @@ mod tests {
                 NetPosition::new(EdgeId(0), 9.0),
             )
             .unwrap();
-        assert!(p.is_single_edge());
+        assert!(p.nodes.is_empty(), "same-edge path crosses no junction");
         assert!(approx_eq(p.length, 7.0));
     }
 
@@ -323,7 +315,7 @@ mod tests {
         let p = finder.shortest_path(src, dst).unwrap();
         // 1 back to n0, across the fast edge (1), then 1 from n1: total 3.
         assert!(approx_eq(p.length, 3.0));
-        assert!(!p.is_single_edge());
+        assert!(!p.nodes.is_empty());
         assert!(p.edges.contains(&EdgeId(1)));
     }
 

@@ -26,15 +26,6 @@ impl PageBitSet {
         PageBitSet::default()
     }
 
-    /// An empty set pre-sized for `pages` page ids, so a session over a
-    /// store of known size never reallocates on the fault path.
-    pub fn with_page_capacity(pages: usize) -> Self {
-        PageBitSet {
-            words: vec![0; pages.div_ceil(64)],
-            ones: 0,
-        }
-    }
-
     /// Inserts `idx`, returning `true` when it was not yet present —
     /// the same contract as `HashSet::insert`.
     #[inline]
@@ -72,11 +63,6 @@ impl PageBitSet {
     pub fn is_empty(&self) -> bool {
         self.ones == 0
     }
-
-    /// Heap footprint of the backing storage, in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -98,17 +84,6 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.contains(0));
         assert!(s.insert(0), "cleared set treats everything as fresh");
-    }
-
-    #[test]
-    fn grows_on_demand_and_presizes() {
-        let mut s = PageBitSet::with_page_capacity(128);
-        let cap = s.heap_bytes();
-        assert!(cap >= 16);
-        s.insert(127);
-        assert_eq!(s.heap_bytes(), cap, "presized set must not grow");
-        s.insert(64 * 1024);
-        assert!(s.contains(64 * 1024));
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl NetworkStore {
         NetworkStore::with_config(g, PoolConfig::default())
     }
 
-    /// Builds a store with a caller-chosen buffer size (one shard, no
-    /// readahead — the paper's shape).
-    pub fn with_buffer_bytes(g: &RoadNetwork, buffer_bytes: usize) -> Self {
-        NetworkStore::with_config(g, PoolConfig::with_bytes(buffer_bytes))
-    }
-
     /// Builds a store with an explicit pool shape.
     pub fn with_config(g: &RoadNetwork, config: PoolConfig) -> Self {
         let points: Vec<Point> = g.nodes().iter().map(|n| n.point).collect();
@@ -500,8 +494,9 @@ mod tests {
     #[test]
     fn tiny_buffer_thrashes() {
         let g = grid(30);
-        let store = NetworkStore::with_buffer_bytes(&g, PAGE_SIZE); // one frame
-                                                                    // Ping-pong between two spatially distant nodes.
+        let store = NetworkStore::with_config(&g, PoolConfig::with_bytes(PAGE_SIZE)); // one frame
+
+        // Ping-pong between two spatially distant nodes.
         let far = NodeId((g.node_count() - 1) as u32);
         for _ in 0..10 {
             store.read_adjacency(NodeId(0));

@@ -83,11 +83,6 @@ impl Disk {
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
-
-    /// Total bytes occupied (actual record bytes, not padded capacity).
-    pub fn used_bytes(&self) -> usize {
-        self.pages.iter().map(Bytes::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,6 @@ mod tests {
         assert_eq!(&d.read(a)[..], b"alpha");
         assert_eq!(&d.read(b)[..], b"beta");
         assert_eq!(d.page_count(), 2);
-        assert_eq!(d.used_bytes(), 9);
     }
 
     #[test]

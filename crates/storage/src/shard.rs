@@ -217,11 +217,6 @@ impl ShardedPool {
         self.shards.len() * self.config.frames_per_shard()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The configuration this pool was built with.
     pub fn config(&self) -> PoolConfig {
         self.config
@@ -286,7 +281,6 @@ mod tests {
     #[test]
     fn shard_split_covers_the_frame_budget() {
         let pool = ShardedPool::new(config(256, 4, 0), IoStats::new());
-        assert_eq!(pool.shard_count(), 4);
         assert_eq!(pool.capacity(), 256);
         // Uneven split rounds up, at least one frame per shard.
         let pool = ShardedPool::new(config(5, 4, 0), IoStats::new());

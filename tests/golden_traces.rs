@@ -105,12 +105,12 @@ fn lbc_matches_golden_trace() {
     check_algo("lbc", Algorithm::Lbc);
 }
 
-/// Dynamic-maintenance snapshot (ISSUE 8, satellite d): two seeded churn
-/// batches over the fixed fixture, maintained incrementally. The
-/// exported counters pin down the whole maintenance path — updates
-/// applied, candidates invalidated, incremental vs full recomputes and
-/// the repair expansions — so any drift in the blast-radius certificates
-/// or the fallback threshold shows up as a snapshot diff.
+/// Dynamic-maintenance snapshot: two seeded churn batches over the
+/// fixed fixture, maintained incrementally. The exported counters pin
+/// down the whole maintenance path — updates applied, rows re-resolved,
+/// queries that re-resolved some vs every row, and the A* expansions of
+/// registration and repair — so any drift in the blast-radius
+/// certificates or the resolver shows up as a snapshot diff.
 #[test]
 fn dynamic_maintenance_matches_golden_trace() {
     let (engine, queries) = fixture();
