@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks for the hot substrates: R-tree nearest
-//! neighbour, B⁺-tree probes, Dijkstra/A\* expansion, dominance tests and
-//! the Euclidean multi-source skyline.
+//! neighbour, B⁺-tree probes, Dijkstra/A\*/INE expansion, dominance tests
+//! and the Euclidean multi-source skyline.
 //!
-//! Run with `cargo bench -p rn-bench --bench micro`.
+//! Run with `cargo bench -p rn-bench --features bench --bench micro`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rn_geom::{Mbr, Point};
 use rn_graph::{EdgeId, NetPosition};
 use rn_index::{BPlusTree, MiddleLayer, RTree};
 use rn_skyline::{brute_force_skyline, multi_source_euclidean_skyline};
-use rn_sp::{AStar, Dijkstra, NetCtx};
+use rn_sp::{AStar, Dijkstra, IncrementalExpansion, NetCtx};
 use rn_storage::NetworkStore;
 use rn_workload::{ca_like, generate_objects, generate_queries};
 use std::hint::black_box;
@@ -89,6 +89,17 @@ fn bench_shortest_paths(c: &mut Criterion) {
         })
     });
 
+    // A full INE drain: the settles of `sp/dijkstra_full_ca` plus one
+    // middle-layer probe per incident edge and the per-object
+    // bookkeeping, so the pair prices what object discovery adds.
+    c.bench_function("sp/ine_drain_ca", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % queries.len();
+            black_box(IncrementalExpansion::new(&ctx, queries[i]).drain().len())
+        })
+    });
+
     c.bench_function("sp/astar_point_to_point_ca", |b| {
         let mut i = 0;
         b.iter(|| {
@@ -111,9 +122,6 @@ fn bench_skyline(c: &mut Criterion) {
         .collect();
     c.bench_function("skyline/bnl_2k_3d", |b| {
         b.iter(|| black_box(rn_skyline::bnl::bnl_skyline(&rows).len()))
-    });
-    c.bench_function("skyline/sfs_2k_3d", |b| {
-        b.iter(|| black_box(rn_skyline::sfs::sfs_skyline(&rows).len()))
     });
     c.bench_function("skyline/brute_2k_3d", |b| {
         b.iter(|| black_box(brute_force_skyline(&rows).len()))

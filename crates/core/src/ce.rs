@@ -30,7 +30,7 @@ use rn_obs::{Event, IncompleteReason, Metric};
 use rn_skyline::dominance::dominates;
 use rn_sp::IncrementalExpansion;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 #[derive(Clone, Copy, PartialEq)]
 enum State {
@@ -44,9 +44,16 @@ enum State {
     Pruned,
 }
 
+impl State {
+    fn unclassified(self) -> bool {
+        matches!(self, State::Open | State::Waiting)
+    }
+}
+
+/// One discovered object. Its per-query distances live in
+/// [`CeState::dists`], at the same entry index.
 struct Obj {
-    /// Per-query network distances; `NAN` marks "not yet visited".
-    dists: Vec<f64>,
+    id: ObjectId,
     visited: usize,
     /// Member of the frozen candidate set C (phase-1 arrival).
     in_c: bool,
@@ -56,28 +63,20 @@ struct Obj {
     blocked: usize,
 }
 
-impl Obj {
-    fn new(n: usize) -> Self {
-        Obj {
-            dists: vec![f64::NAN; n],
-            visited: 0,
-            in_c: false,
-            state: State::Open,
-            blocked: 0,
-        }
-    }
+/// Marks an object slot CE has not discovered yet.
+const UNSEEN: u32 = u32::MAX;
 
-    fn certified(&self, radii: &[f64]) -> Vec<f64> {
-        self.dists
+/// Writes the certified lower-bound vector of an unclassified object
+/// into `out`: its exact distance where visited, the dimension's bound
+/// elsewhere.
+fn certify_into(dists: &[f64], bounds: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        dists
             .iter()
-            .zip(radii)
-            .map(|(&d, &r)| if d.is_nan() { r } else { d })
-            .collect()
-    }
-
-    fn sum(&self) -> f64 {
-        self.dists.iter().sum()
-    }
+            .zip(bounds)
+            .map(|(&d, &r)| if d.is_nan() { r } else { d }),
+    );
 }
 
 /// The coordinator-side state of a CE run: everything except the
@@ -102,9 +101,22 @@ pub(crate) struct CeState {
     /// and termination needs the group certificate.
     track_all: bool,
     exhausted: Vec<bool>,
-    /// Ordered map: prune_open and finalize iterate this, and the query
-    /// path must behave identically run to run.
-    objs: BTreeMap<ObjectId, Obj>,
+    /// Per object slot (object ids are dense middle-layer slots): the
+    /// object's entry in `objs`, or [`UNSEEN`].
+    slot: Vec<u32>,
+    /// Discovered objects, in discovery order. Every walk over them is
+    /// either order-free (per-object decisions, counts) or sorts by id
+    /// first, so the query path behaves identically run to run.
+    objs: Vec<Obj>,
+    /// Per-query network distances, `n` per entry of `objs`; `NAN` marks
+    /// "not yet visited".
+    dists: Vec<f64>,
+    /// Entries of `objs` that may still be Open or Waiting — a superset,
+    /// trimmed by [`CeState::prune_open`], so pruning walks only the live
+    /// window.
+    unclassified: Vec<u32>,
+    /// Reused buffer for the certified vector `prune_open` tests.
+    cert: Vec<f64>,
     skyline: Vec<(ObjectId, Vec<f64>)>,
     /// Per query point: completed objects waiting for its radius to pass,
     /// keyed by their distance in that dimension.
@@ -129,7 +141,11 @@ impl CeState {
             // certified bounds of everything not yet emitted.
             track_all: input.attrs.is_some(),
             exhausted: vec![false; n],
-            objs: BTreeMap::new(),
+            slot: vec![UNSEEN; input.ctx.mid.object_count()],
+            objs: Vec::new(),
+            dists: Vec::new(),
+            unclassified: Vec::new(),
+            cert: Vec::with_capacity(input.full_arity()),
             skyline: Vec::new(),
             waiting: (0..n).map(|_| BinaryHeap::new()).collect(),
             ready: Vec::new(),
@@ -137,6 +153,18 @@ impl CeState {
             frozen_candidates: 0,
             open: 0,
         }
+    }
+
+    /// The entry index of discovered object `id`.
+    fn entry(&self, id: ObjectId) -> usize {
+        let e = self.slot[id.idx()];
+        debug_assert!(e != UNSEEN, "object {id:?} was never discovered");
+        e as usize
+    }
+
+    /// The per-query distances of entry `e`.
+    fn dists(&self, e: usize) -> &[f64] {
+        &self.dists[e * self.n..(e + 1) * self.n]
     }
 
     pub(crate) fn is_exhausted(&self, qi: usize) -> bool {
@@ -171,7 +199,7 @@ impl CeState {
     pub(crate) fn on_exhausted(&mut self, qi: usize) {
         self.exhausted[qi] = true;
         while let Some(Reverse((_, obj))) = self.waiting[qi].pop() {
-            release(&mut self.objs, obj, &mut self.ready);
+            self.release(obj);
         }
     }
 
@@ -181,52 +209,67 @@ impl CeState {
     /// already refreshed, the parallel driver the previous round's.
     pub(crate) fn on_emission(&mut self, qi: usize, id: ObjectId, d: f64, bounds: &[f64]) {
         let n = self.n;
-        let track_all = self.track_all;
-        let phase1 = self.phase1;
-        let mut newcomer = false;
-        let entry = self.objs.entry(id).or_insert_with(|| {
-            newcomer = true;
-            let mut o = Obj::new(n);
-            o.in_c = phase1;
-            o
-        });
-        // Refinement-phase newcomers are not candidates (§4.1) and do not
-        // gate termination — except under the static attribute extension,
-        // where a spatially-dominated object can still be a skyline member
-        // and must be classified.
-        if newcomer && !phase1 && track_all {
-            self.open += 1;
+        if self.slot[id.idx()] == UNSEEN {
+            let e = self.objs.len() as u32;
+            self.slot[id.idx()] = e;
+            self.objs.push(Obj {
+                id,
+                visited: 0,
+                in_c: self.phase1,
+                state: State::Open,
+                blocked: 0,
+            });
+            self.dists.resize(self.dists.len() + n, f64::NAN);
+            self.unclassified.push(e);
+            // Refinement-phase newcomers are not candidates (§4.1) and do
+            // not gate termination — except under the static attribute
+            // extension, where a spatially-dominated object can still be
+            // a skyline member and must be classified.
+            if !self.phase1 && self.track_all {
+                self.open += 1;
+            }
         }
-        if entry.dists[qi].is_nan() && entry.state == State::Open {
-            entry.dists[qi] = d;
+        let e = self.entry(id);
+        let row = e * n..(e + 1) * n;
+        let entry = &mut self.objs[e];
+        if entry.state != State::Open {
+            return;
+        }
+        if self.dists[row.start + qi].is_nan() {
+            self.dists[row.start + qi] = d;
             entry.visited += 1;
         }
+        if entry.visited < n {
+            return;
+        }
 
-        if entry.visited == n && entry.state == State::Open {
-            // Vector complete: enter the classification pipeline.
-            entry.state = State::Waiting;
-            let mut blocked = 0;
-            for (j, (&dj, heap)) in entry.dists.iter().zip(self.waiting.iter_mut()).enumerate() {
-                let passed = self.exhausted[j] || bounds[j] > dj;
-                if !passed {
-                    heap.push(Reverse((OrdF64::new(dj), id)));
-                    blocked += 1;
-                }
+        // Vector complete: enter the classification pipeline.
+        entry.state = State::Waiting;
+        let mut blocked = 0;
+        for (j, (&dj, heap)) in self.dists[row]
+            .iter()
+            .zip(self.waiting.iter_mut())
+            .enumerate()
+        {
+            let passed = self.exhausted[j] || bounds[j] > dj;
+            if !passed {
+                heap.push(Reverse((OrdF64::new(dj), id)));
+                blocked += 1;
             }
-            entry.blocked = blocked;
-            if blocked == 0 {
-                self.ready.push(id);
-            }
-            if self.phase1 {
-                // Phase 1 ends at the first completed vector.
-                self.phase1 = false;
-                self.frozen_candidates = self.objs.len();
-                self.open = self
-                    .objs
-                    .values()
-                    .filter(|o| o.in_c && matches!(o.state, State::Open | State::Waiting))
-                    .count();
-            }
+        }
+        entry.blocked = blocked;
+        if blocked == 0 {
+            self.ready.push(id);
+        }
+        if self.phase1 {
+            // Phase 1 ends at the first completed vector.
+            self.phase1 = false;
+            self.frozen_candidates = self.objs.len();
+            self.open = self
+                .objs
+                .iter()
+                .filter(|o| o.in_c && o.state.unclassified())
+                .count();
         }
     }
 
@@ -237,9 +280,22 @@ impl CeState {
         while let Some(&Reverse((d, obj))) = self.waiting[qi].peek() {
             if r > d.get() {
                 self.waiting[qi].pop();
-                release(&mut self.objs, obj, &mut self.ready);
+                self.release(obj);
             } else {
                 break;
+            }
+        }
+    }
+
+    /// One dimension's gate passed for `obj`; move it to `ready` when
+    /// fully unblocked.
+    fn release(&mut self, obj: ObjectId) {
+        let e = self.entry(obj);
+        let o = &mut self.objs[e];
+        if o.state == State::Waiting {
+            o.blocked -= 1;
+            if o.blocked == 0 {
+                self.ready.push(obj);
             }
         }
     }
@@ -256,41 +312,34 @@ impl CeState {
         if self.ready.is_empty() {
             return;
         }
+        let mut ready = std::mem::take(&mut self.ready);
         // Ascending sum over the *full* vector (distances plus static
         // attributes): a dominator's sum is strictly smaller, so it always
         // classifies before anything it dominates.
-        let objs = &self.objs;
-        let full_sum = |id: &ObjectId| -> f64 {
-            let mut s = objs[id].sum();
+        let full_sum = |id: ObjectId| -> f64 {
+            let mut s: f64 = self.dists(self.entry(id)).iter().sum();
             if let Some(a) = input.attrs {
-                s += a.row(*id).iter().sum::<f64>();
+                s += a.row(id).iter().sum::<f64>();
             }
             s
         };
-        self.ready.sort_by(|a, b| {
-            let sa = full_sum(a);
-            let sb = full_sum(b);
-            rn_geom::cmp_f64(sa, sb).then(a.cmp(b))
-        });
-        let ready = std::mem::take(&mut self.ready);
+        ready.sort_by(|&a, &b| rn_geom::cmp_f64(full_sum(a), full_sum(b)).then(a.cmp(&b)));
         for id in ready {
-            let o = self.objs.get_mut(&id).expect("ready object exists");
-            if o.state != State::Waiting {
+            let e = self.entry(id);
+            if self.objs[e].state != State::Waiting {
                 continue; // pruned while waiting
             }
-            let counted = o.in_c || input.attrs.is_some();
-            let mut vec = o.dists.clone();
+            let mut vec = self.dists(e).to_vec();
             input.extend_with_attrs(id, &mut vec);
-            if self.skyline.iter().any(|(_, s)| dominates(s, &vec)) {
+            let dominated = self.skyline.iter().any(|(_, s)| dominates(s, &vec));
+            let o = &mut self.objs[e];
+            if (o.in_c || input.attrs.is_some()) && !self.phase1 {
+                self.open -= 1;
+            }
+            if dominated {
                 o.state = State::Pruned;
-                if counted && !self.phase1 {
-                    self.open -= 1;
-                }
             } else {
                 o.state = State::Skyline;
-                if counted && !self.phase1 {
-                    self.open -= 1;
-                }
                 self.skyline.push((id, vec.clone()));
                 reporter.report(SkylinePoint {
                     object: id,
@@ -303,22 +352,32 @@ impl CeState {
 
     /// Certified-bound pruning: any unclassified object whose lower-bound
     /// vector is dominated by the new skyline vector can never recover.
+    /// Walks only the unclassified entries, dropping the ones classified
+    /// since the last walk; each decision depends on its own object alone,
+    /// so the walk order does not matter.
     fn prune_open(&mut self, input: &QueryInput<'_>, v: &[f64], bounds: &[f64]) {
-        for (&id, o) in self.objs.iter_mut() {
-            if matches!(o.state, State::Open | State::Waiting) {
-                let mut cert = o.certified(bounds);
-                if let Some(a) = input.attrs {
-                    cert.extend_from_slice(a.row(id));
-                }
-                if dominates(v, &cert) {
-                    let counted = o.in_c || input.attrs.is_some();
-                    o.state = State::Pruned;
-                    if counted && !self.phase1 {
-                        self.open -= 1;
-                    }
-                }
+        let n = self.n;
+        let counts_all = input.attrs.is_some();
+        let phase1 = self.phase1;
+        let (objs, dists, cert, open) =
+            (&mut self.objs, &self.dists, &mut self.cert, &mut self.open);
+        self.unclassified.retain(|&e| {
+            let e = e as usize;
+            let o = &mut objs[e];
+            if !o.state.unclassified() {
+                return false;
             }
-        }
+            certify_into(&dists[e * n..(e + 1) * n], bounds, cert);
+            input.extend_with_attrs(o.id, cert);
+            if !dominates(v, cert) {
+                return true;
+            }
+            o.state = State::Pruned;
+            if (o.in_c || counts_all) && !phase1 {
+                *open -= 1;
+            }
+            false
+        });
     }
 
     /// Exact classification of whatever never completed (unreachable
@@ -328,15 +387,16 @@ impl CeState {
         let mut remaining: Vec<(ObjectId, Vec<f64>)> = self
             .objs
             .iter()
-            .filter(|(_, o)| matches!(o.state, State::Open | State::Waiting))
-            .map(|(&id, o)| {
-                let mut vec: Vec<f64> = o
-                    .dists
+            .enumerate()
+            .filter(|(_, o)| o.state.unclassified())
+            .map(|(e, o)| {
+                let mut vec: Vec<f64> = self
+                    .dists(e)
                     .iter()
                     .map(|&d| if d.is_nan() { f64::INFINITY } else { d })
                     .collect();
-                input.extend_with_attrs(id, &mut vec);
-                (id, vec)
+                input.extend_with_attrs(o.id, &mut vec);
+                (o.id, vec)
             })
             .collect();
         remaining.sort_by_key(|(id, _)| *id);
@@ -347,7 +407,8 @@ impl CeState {
                     .iter()
                     .enumerate()
                     .any(|(j, (_, other))| j != i && dominates(other, vec));
-            self.objs.get_mut(&id).expect("object exists").state = if dominated {
+            let e = self.entry(id);
+            self.objs[e].state = if dominated {
                 State::Pruned
             } else {
                 State::Skyline
@@ -371,10 +432,11 @@ impl CeState {
         // prematurely.
         #[cfg(feature = "invariant-checks")]
         {
-            for (id, o) in &self.objs {
+            for o in &self.objs {
                 assert!(
-                    matches!(o.state, State::Skyline | State::Pruned),
-                    "CE refinement incomplete: object {id:?} never classified"
+                    !o.state.unclassified(),
+                    "CE refinement incomplete: object {:?} never classified",
+                    o.id
                 );
             }
             for (i, (ida, va)) in self.skyline.iter().enumerate() {
@@ -415,18 +477,23 @@ impl CeState {
         input: &QueryInput<'_>,
         bounds: &[f64],
     ) -> Vec<UnresolvedCandidate> {
-        self.objs
+        let mut out: Vec<UnresolvedCandidate> = self
+            .objs
             .iter()
-            .filter(|(_, o)| matches!(o.state, State::Open | State::Waiting))
-            .map(|(&id, o)| {
-                let mut lb = o.certified(bounds);
-                input.extend_with_attrs(id, &mut lb);
+            .enumerate()
+            .filter(|(_, o)| o.state.unclassified())
+            .map(|(e, o)| {
+                let mut lb = Vec::with_capacity(input.full_arity());
+                certify_into(self.dists(e), bounds, &mut lb);
+                input.extend_with_attrs(o.id, &mut lb);
                 UnresolvedCandidate {
-                    object: id,
+                    object: o.id,
                     lower_bounds: lb,
                 }
             })
-            .collect()
+            .collect();
+        out.sort_by_key(|u| u.object);
+        out
     }
 
     /// `true` while the filter phase runs (the candidate set has not
@@ -533,19 +600,6 @@ pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput
         candidates: st.candidates(),
         nodes_expanded,
         partial: None,
-    }
-}
-
-/// One dimension's gate passed for `obj`; move it to `ready` when fully
-/// unblocked.
-fn release(objs: &mut BTreeMap<ObjectId, Obj>, obj: ObjectId, ready: &mut Vec<ObjectId>) {
-    if let Some(o) = objs.get_mut(&obj) {
-        if o.state == State::Waiting {
-            o.blocked -= 1;
-            if o.blocked == 0 {
-                ready.push(obj);
-            }
-        }
     }
 }
 

@@ -8,7 +8,6 @@
 //! * [`dominance`] — the dominance relation and a brute-force reference
 //!   skyline;
 //! * [`bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001);
-//! * [`sfs`] — Sort-Filter-Skyline (Chomicki et al., ICDE 2003);
 //! * [`euclidean`] — the R-tree-based *multi-source Euclidean skyline* of
 //!   §4.2: a BBS-style best-first browse ordered by the sum of per-query
 //!   mindists, with dominance pruning at both insertion and pop time, and
@@ -21,7 +20,6 @@
 pub mod bnl;
 pub mod dominance;
 pub mod euclidean;
-pub mod sfs;
 
 pub use dominance::{brute_force_skyline, dominates};
 pub use euclidean::{multi_source_euclidean_skyline, EuclideanSkylineIter};

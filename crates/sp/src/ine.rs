@@ -24,22 +24,30 @@ use crate::dijkstra::Dijkstra;
 use rn_geom::OrdF64;
 use rn_graph::{NetPosition, ObjectId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Iterator-like producer of `(object, network distance)` pairs in
 /// ascending distance order from one query point.
+///
+/// Per-object state lives in arrays indexed by [`ObjectId::idx`]: object
+/// ids are dense middle-layer slots (`0..MiddleLayer::object_count()`,
+/// retired slots included), so a lookup is one load — no ordered-map
+/// descent, no hashing — and the query path stays deterministic.
 pub struct IncrementalExpansion<'a> {
     ctx: &'a NetCtx<'a>,
     dij: Dijkstra<'a>,
-    /// Best tentative object distances (lazy heap companion map). Ordered
-    /// map: the query path must stay deterministic across runs.
-    best: BTreeMap<ObjectId, f64>,
+    /// Per slot: best tentative distance (lazy heap companion);
+    /// `INFINITY` until the object is first discovered.
+    best: Vec<f64>,
     /// Pending objects keyed by tentative distance.
     pending: BinaryHeap<Reverse<(OrdF64, ObjectId)>>,
-    /// Objects already reported.
-    emitted: BTreeSet<ObjectId>,
+    /// Per slot: already reported.
+    emitted: Vec<bool>,
     /// Objects emitted so far (`next_nearest` returning `Some`).
     emissions: u64,
+    /// Distance of the latest emission (the monotonicity contract).
+    #[cfg(feature = "invariant-checks")]
+    last_emitted: f64,
 }
 
 impl<'a> IncrementalExpansion<'a> {
@@ -48,10 +56,12 @@ impl<'a> IncrementalExpansion<'a> {
         let mut ine = IncrementalExpansion {
             ctx,
             dij: Dijkstra::new(ctx, source),
-            best: BTreeMap::new(),
+            best: vec![f64::INFINITY; ctx.mid.object_count()],
             pending: BinaryHeap::new(),
-            emitted: BTreeSet::new(),
+            emitted: vec![false; ctx.mid.object_count()],
             emissions: 0,
+            #[cfg(feature = "invariant-checks")]
+            last_emitted: 0.0,
         };
         // Objects sharing the source edge are reachable directly along it.
         for rec in ctx.mid.objects_on_edge(source.edge) {
@@ -108,12 +118,9 @@ impl<'a> IncrementalExpansion<'a> {
     }
 
     fn relax_object(&mut self, obj: ObjectId, d: f64) {
-        let better = match self.best.get(&obj) {
-            Some(&cur) => d < cur,
-            None => true,
-        };
-        if better && !self.emitted.contains(&obj) {
-            self.best.insert(obj, d);
+        let i = obj.idx();
+        if d < self.best[i] && !self.emitted[i] {
+            self.best[i] = d;
             self.pending.push(Reverse((OrdF64::new(d), obj)));
         }
     }
@@ -126,14 +133,27 @@ impl<'a> IncrementalExpansion<'a> {
             // paths through unsettled territory.
             if let Some(&Reverse((d, obj))) = self.pending.peek() {
                 let d = d.get();
-                let fresh = self.best.get(&obj) == Some(&d) && !self.emitted.contains(&obj);
-                if !fresh {
+                let i = obj.idx();
+                if self.best[i] != d || self.emitted[i] {
                     self.pending.pop();
                     continue;
                 }
                 if d <= self.dij.radius() || self.dij.is_exhausted() {
                     self.pending.pop();
-                    self.emitted.insert(obj);
+                    // Contract (§4.1): objects emerge in non-decreasing
+                    // network distance, each exactly once. CE's gates and
+                    // emission bounds assume both.
+                    #[cfg(feature = "invariant-checks")]
+                    {
+                        assert!(
+                            d >= self.last_emitted,
+                            "INE emission order violated: {obj:?} at {d} after {}",
+                            self.last_emitted
+                        );
+                        assert!(!self.emitted[i], "INE emitted {obj:?} twice");
+                        self.last_emitted = d;
+                    }
+                    self.emitted[i] = true;
                     self.emissions += 1;
                     return Some((obj, d));
                 }
@@ -154,17 +174,17 @@ impl<'a> IncrementalExpansion<'a> {
                 continue; // exhausted; loop re-checks pending
             };
             // The adjacency record was just read (and paid for); probe the
-            // middle layer for each incident edge.
+            // middle layer once per incident edge.
+            let ctx = self.ctx;
             for i in 0..self.dij.last_adjacency().entries.len() {
-                let ent = self.dij.last_adjacency().entries[i];
-                let recs = self.ctx.mid.objects_on_edge(ent.edge);
+                let edge = self.dij.last_adjacency().entries[i].edge;
+                let recs = ctx.mid.objects_on_edge(edge);
                 if recs.is_empty() {
                     continue;
                 }
                 // Orientation: is `node` the u or the v endpoint?
-                let at_u = self.ctx.net.edge(ent.edge).u == node;
-                for k in 0..recs.len() {
-                    let rec = self.ctx.mid.objects_on_edge(ent.edge)[k];
+                let at_u = ctx.net.edge(edge).u == node;
+                for rec in recs {
                     let off = if at_u { rec.d_u } else { rec.d_v };
                     self.relax_object(rec.object, dist + off);
                 }
@@ -261,6 +281,39 @@ mod tests {
                     approx_eq(*d, want),
                     "seed {seed} obj {obj:?}: INE={d} oracle={want}"
                 );
+            }
+        }
+    }
+
+    /// Per-object state is sized by slots, not live objects: a layer
+    /// with retired slots and live objects appended after them (the shape
+    /// dynamic churn leaves) must still emit every live object once.
+    #[test]
+    fn retired_slots_do_not_shrink_the_object_state() {
+        let g = random_net(40, 11);
+        let mut slots: Vec<Option<NetPosition>> =
+            rand_positions(&g, 12, 111).into_iter().map(Some).collect();
+        for i in [0, 2, 3, 5, 8, 9, 11] {
+            slots[i] = None;
+        }
+        slots.extend(rand_positions(&g, 10, 112).into_iter().map(Some));
+        let store = NetworkStore::build(&g);
+        let mid = MiddleLayer::build_slots(&g, &slots);
+        assert!(mid.live_count() < mid.object_count());
+        let ctx = NetCtx::new(&g, &store, &mid);
+        let oracle = position_distance_oracle(&g);
+        for src in rand_positions(&g, 4, 113) {
+            let got = IncrementalExpansion::new(&ctx, src).drain();
+            let mut ids: Vec<usize> = got.iter().map(|(o, _)| o.idx()).collect();
+            ids.sort_unstable();
+            let live: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_some()).collect();
+            assert_eq!(ids, live, "every live object exactly once");
+            for w in got.windows(2) {
+                assert!(w[0].1 <= w[1].1, "ascending: {w:?}");
+            }
+            for (obj, d) in &got {
+                let want = oracle(&src, &slots[obj.idx()].expect("live slot"));
+                assert!(approx_eq(*d, want), "{obj:?}: INE={d} oracle={want}");
             }
         }
     }

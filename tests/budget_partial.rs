@@ -135,6 +135,37 @@ fn expired_deadline_yields_sound_partial() {
     }
 }
 
+/// `PartialInfo::unresolved` comes back strictly ascending by object id,
+/// as its rustdoc promises, whatever order the run discovered the
+/// objects in.
+#[test]
+fn unresolved_candidates_ascend_by_object_id() {
+    let (engine, queries) = fixture();
+    for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
+        for (label, exec) in [("Warm", Exec::Warm), ("Parallel(2)", Exec::Parallel(2))] {
+            let full = run_exec(&engine, algo, &queries, exec);
+            let cap = (full.trace.get(Metric::SpHeapPops) / 4).max(1);
+            let budget = QueryBudget::unlimited().with_max_expansions(cap);
+            let r = run_capped(&engine, algo, &queries, exec, budget);
+            let info = r
+                .completion
+                .partial()
+                .unwrap_or_else(|| panic!("{} {label}: a ¼-pops cap must trip", algo.name()));
+            assert!(
+                info.unresolved.len() >= 2,
+                "{} {label}: too few unresolved candidates to show an order",
+                algo.name()
+            );
+            let ids: Vec<_> = info.unresolved.iter().map(|u| u.object).collect();
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "{} {label}: unresolved not strictly ascending by id: {ids:?}",
+                algo.name()
+            );
+        }
+    }
+}
+
 /// Cap-based trips are worker-count invariant: the partial skyline, the
 /// unresolved candidates, the reason and the full trace are bitwise
 /// identical at 1, 2 and 8 workers (DESIGN.md §12).
