@@ -14,8 +14,9 @@
 //! * **LBC** — adjudication sessions and the fraction the plb machinery
 //!   discards (the §4.3 lower-bound pruning behind Fig. 6).
 //!
-//! Counters are deterministic (coordinator-side recording, DESIGN.md
-//! §10), so BENCH_3.json is bit-reproducible for a given `MSQ_SEEDS`.
+//! Counters are deterministic (each query records its own trace,
+//! DESIGN.md §10), so BENCH_3.json is bit-reproducible for a given
+//! `MSQ_SEEDS`.
 
 use crate::harness::{build_engine, seed_count, Setting};
 use msq_core::{Algorithm, Metric, QueryTrace};

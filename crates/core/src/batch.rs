@@ -18,7 +18,9 @@ use rn_storage::{IoSnapshot, NetworkStore, PoolConfig};
 use std::time::Duration;
 
 /// Executes batches of independent queries concurrently over one shared
-/// [`SkylineEngine`].
+/// [`SkylineEngine`]. This is the engine's only parallelism: each query
+/// runs on one worker, through its algorithm's one sequential driver
+/// (DESIGN.md §9).
 pub struct BatchEngine<'e> {
     engine: &'e SkylineEngine,
     workers: usize,

@@ -79,22 +79,11 @@ fn certify_into(dists: &[f64], bounds: &[f64], out: &mut Vec<f64>) {
     );
 }
 
-/// The coordinator-side state of a CE run: everything except the
+/// The classification state of a CE run: everything except the
 /// wavefront engines themselves.
 ///
-/// Extracting this from the sequential loop lets two drivers share one
-/// classification pipeline: the sequential round-robin driver below, and
-/// the lockstep parallel driver in [`crate::par`], whose wavefronts live
-/// in worker threads and report `(emission, bound)` pairs per round.
-///
 /// Every method that consults wavefront progress takes `bounds: &[f64]`,
-/// the per-dimension certified emission bounds, *as the driver knows
-/// them*. Any element-wise **under**-estimate of the live bounds is safe:
-/// bounds gate classification (a stale, smaller bound only delays a
-/// release) and serve as certified lower bounds in pruning (a smaller
-/// bound only weakens the prune). The parallel driver exploits exactly
-/// this, processing each round's emissions against the previous round's
-/// bounds.
+/// the per-dimension certified emission bounds of the live wavefronts.
 pub(crate) struct CeState {
     n: usize,
     /// Static attributes present: every emitted object must be classified
@@ -203,10 +192,8 @@ impl CeState {
         }
     }
 
-    /// Wavefront `qi` emitted object `id` at distance `d`. `bounds` must
-    /// be (element-wise under-estimates of) the certified emission bounds;
-    /// the sequential driver passes the live bounds with `bounds[qi]`
-    /// already refreshed, the parallel driver the previous round's.
+    /// Wavefront `qi` emitted object `id` at distance `d`. `bounds` are
+    /// the certified emission bounds, with `bounds[qi]` already refreshed.
     pub(crate) fn on_emission(&mut self, qi: usize, id: ObjectId, d: f64, bounds: &[f64]) {
         let n = self.n;
         if self.slot[id.idx()] == UNSEEN {

@@ -43,36 +43,15 @@ use rn_sp::{AStar, AStarStats, BoundKind, LbTarget};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How EDC obtains network distance vectors — the only part of the
-/// algorithm that touches the shortest-path substrate, and therefore the
-/// parallelisation seam.
-///
-/// The sequential backend ([`SeqBackend`]) walks one A\* engine per query
-/// point over the objects in order; the parallel backend
-/// ([`crate::par`]) fans the *dimensions* out across workers, each of
-/// which owns its engines and a private store session. Both must satisfy
-/// the same contract: vectors are returned **in `objs` order**, with
-/// static attributes already appended, and each engine processes the
-/// overall target sequence in the same order as the sequential run (so
-/// per-engine expansion counts — and hence page-fault counts per session —
-/// do not depend on the backend's worker count).
-pub(crate) trait VectorBackend {
-    /// Network distance vectors (plus static attributes) for each object,
-    /// in `objs` order.
-    fn vectors(&mut self, input: &QueryInput<'_>, objs: &[ObjectId]) -> Vec<Vec<f64>>;
-    /// Cumulative engine counters summed across all engines so far — the
-    /// coordinator harvests these into the trace once, at end of run.
-    fn stats(&mut self) -> AStarStats;
-}
-
-/// The in-thread backend: one A\* engine per query point, settled tables
-/// reused across targets (step 2/4 sharing).
-pub(crate) struct SeqBackend<'a> {
+/// algorithm that touches the shortest-path substrate: one A\* engine per
+/// query point, settled tables reused across targets (step 2/4 sharing).
+struct VectorEngines<'a> {
     engines: Vec<AStar<'a>>,
 }
 
-impl<'a> SeqBackend<'a> {
-    pub(crate) fn new(input: &'a QueryInput<'a>) -> Self {
-        SeqBackend {
+impl<'a> VectorEngines<'a> {
+    fn new(input: &'a QueryInput<'a>) -> Self {
+        VectorEngines {
             engines: input
                 .queries
                 .iter()
@@ -80,17 +59,17 @@ impl<'a> SeqBackend<'a> {
                 .collect(),
         }
     }
-}
 
-impl VectorBackend for SeqBackend<'_> {
+    /// Network distance vectors (plus static attributes) for each object,
+    /// in `objs` order.
     fn vectors(&mut self, input: &QueryInput<'_>, objs: &[ObjectId]) -> Vec<Vec<f64>> {
         let positions: Vec<NetPosition> = objs.iter().map(|&o| input.ctx.mid.position(o)).collect();
         let mut rows: Vec<Vec<f64>> = objs
             .iter()
             .map(|_| Vec::with_capacity(input.full_arity()))
             .collect();
-        // One dimension at a time, so each engine sees the batch's
-        // destinations in object order under every backend.
+        // One dimension at a time: each engine sees the batch's
+        // destinations in object order.
         for e in &mut self.engines {
             for (row, d) in rows.iter_mut().zip(e.distances_to_pack(&positions)) {
                 row.push(d);
@@ -102,7 +81,8 @@ impl VectorBackend for SeqBackend<'_> {
         rows
     }
 
-    fn stats(&mut self) -> AStarStats {
+    /// Cumulative engine counters summed across all engines so far.
+    fn stats(&self) -> AStarStats {
         let mut total = AStarStats::default();
         for e in &self.engines {
             total.merge(&e.stats());
@@ -111,25 +91,12 @@ impl VectorBackend for SeqBackend<'_> {
     }
 }
 
-pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
-    let mut backend = SeqBackend::new(input);
-    run_mode_with(input, reporter, false, &mut backend)
-}
-
-/// The batch form of §4.2: steps 1-4 run to completion and step 5 reports
-/// everything at the end ("EDC ... is essentially a batch skyline query
-/// algorithm - no network skyline points can be reported until step 5").
-pub(crate) fn run_batch(input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
-    let mut backend = SeqBackend::new(input);
-    run_mode_with(input, reporter, true, &mut backend)
-}
-
-pub(crate) fn run_mode_with<B: VectorBackend>(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    batch: bool,
-    backend: &mut B,
-) -> AlgoOutput {
+/// Runs EDC. With `batch`, it runs in the batch form of §4.2: steps 1-4
+/// run to completion and step 5 reports everything at the end ("EDC ...
+/// is essentially a batch skyline query algorithm - no network skyline
+/// points can be reported until step 5").
+pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter, batch: bool) -> AlgoOutput {
+    let mut engines = VectorEngines::new(input);
     let qpts: Vec<Point> = input.queries.iter().map(|q| q.point).collect();
     let guard = input.ctx.guard;
 
@@ -182,7 +149,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
         }
         // Step 2: shift the Euclidean skyline point into network space.
         reporter.obs().incr(Metric::EdcGuideShifts);
-        let shifted_row = backend.vectors(input, &[obj]).pop();
+        let shifted_row = engines.vectors(input, &[obj]).pop();
         if guard.is_some_and(|g| g.tripped()) {
             aborted.push(obj);
             tripped = true;
@@ -214,7 +181,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
                 candidates: in_cube.len() as u64,
             });
         }
-        let cube_rows = backend.vectors(input, &in_cube);
+        let cube_rows = engines.vectors(input, &in_cube);
         if guard.is_some_and(|g| g.tripped()) {
             aborted.extend(in_cube);
             tripped = true;
@@ -288,7 +255,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
             break;
         }
         reporter.obs().incr(Metric::EdcClosureRounds);
-        let rows = backend.vectors(input, &fresh);
+        let rows = engines.vectors(input, &fresh);
         if guard.is_some_and(|g| g.tripped()) {
             aborted.extend(fresh);
             tripped = true;
@@ -349,11 +316,8 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
         None
     };
 
-    // Harvest the engines' own counters into the trace. Every dimension's
-    // engine sees the same target sequence under every backend (sequential
-    // or fanned-out — batches preserve object order), so these sums are
-    // identical at every worker count.
-    let stats = backend.stats();
+    // Harvest the engines' own counters into the trace.
+    let stats = engines.stats();
     let obs = reporter.obs();
     obs.add(Metric::SpAstarConfirms, stats.confirms);
     obs.add(Metric::SpAstarRetargets, stats.retargets);

@@ -10,7 +10,7 @@ use rn_obs::{Event, ExecGuard, IncompleteReason, Metric, QueryBudget, QueryTrace
 use rn_sp::{
     AltOracle, BoundSpec, EuclidBound, LbCounters, LowerBound, NetCtx, OracleBuildStats, QueryPoint,
 };
-use rn_storage::{FaultPlan, IoSnapshot, IoStats, NetworkStore, PoolConfig};
+use rn_storage::{FaultPlan, IoSnapshot, NetworkStore, PoolConfig};
 
 /// Which of the paper's algorithms to execute.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,30 +50,23 @@ impl Algorithm {
     pub const PAPER_SET: [Algorithm; 3] = [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc];
 }
 
-/// Where a query's pages come from and how it is driven (DESIGN.md §18).
+/// Where a query's pages come from (DESIGN.md §18). Every mode runs the
+/// query on the calling thread through its algorithm's one driver;
+/// [`crate::BatchEngine`] runs queries concurrently, one per worker.
 #[derive(Clone, Copy)]
 pub enum Exec<'s> {
-    /// Sequential, against the engine's buffer pool as the previous query
-    /// left it.
+    /// The engine's buffer pool as the previous query left it.
     Warm,
-    /// Sequential, against the engine's buffer pool emptied first — the
-    /// cold-cache configuration of the paper's averaged runs (§6).
+    /// The engine's buffer pool emptied first — the cold-cache
+    /// configuration of the paper's averaged runs (§6).
     Cold,
-    /// Sequential, against a caller-supplied store — a batch worker's
-    /// private or shared session ([`NetworkStore::session`],
-    /// [`NetworkStore::shared_session`]). The shared index and oracle
-    /// counters cannot be attributed to one query while others run, so the
-    /// trace reports `index.node_reads` and the `sp.lb.*` hits as zero;
-    /// [`crate::BatchOutcome`] carries the batch aggregate.
+    /// A caller-supplied store — a batch worker's private or shared
+    /// session ([`NetworkStore::session`], [`NetworkStore::shared_session`]).
+    /// The shared index and oracle counters cannot be attributed to one
+    /// query while others run, so the trace reports `index.node_reads` and
+    /// the `sp.lb.*` hits as zero; [`crate::BatchOutcome`] carries the
+    /// batch aggregate.
     Session(&'s NetworkStore),
-    /// Intra-query parallelism across this many threads (DESIGN.md §9):
-    /// CE's wavefronts advance in lockstep rounds, EDC fans each vector
-    /// across its dimensions and LBC fans its full resolutions. Every
-    /// worker reads through a private cold session and all faults feed one
-    /// fresh query-wide [`IoStats`], so skyline, trace and budget trips
-    /// are identical at every worker count. [`Algorithm::Brute`] has no
-    /// parallel form and runs on one private session.
-    Parallel(usize),
 }
 
 /// One multi-source skyline query: the algorithm, the query points and
@@ -242,8 +235,8 @@ pub struct SkylineResult {
     pub stats: QueryStats,
     /// The query's observability trace: phase-attributed counters over
     /// the [`rn_obs::Metric`] registry plus (under the `trace` feature)
-    /// the typed event log. Deterministic: bitwise identical at every
-    /// worker count (DESIGN.md §10).
+    /// the typed event log. Deterministic: bitwise identical across runs
+    /// and batch worker counts (DESIGN.md §10).
     pub trace: QueryTrace,
     /// Whether the skyline is the full answer or a certified prefix cut
     /// short by a tripped [`QueryBudget`] (DESIGN.md §12).
@@ -353,8 +346,8 @@ impl SkylineEngine {
     /// so the engine's I/O counters and buffer stay untouched.
     ///
     /// Skylines are bound-invariant: every [`BoundSpec`] yields bitwise
-    /// identical results at every worker count; only the work counters
-    /// (expansions, retargets, `lbc.plb.oracle_discards`) change.
+    /// identical results; only the work counters (expansions, retargets,
+    /// `lbc.plb.oracle_discards`) change.
     /// `build_ms` in the returned stats is wall-clock and is **never**
     /// recorded into a [`QueryTrace`] — it exists for the bench reports
     /// (DESIGN.md §14).
@@ -510,18 +503,11 @@ impl SkylineEngine {
         if let Exec::Cold = plan.exec {
             self.clear_buffer();
         }
-        let brute_session;
-        let (store, io) = match plan.exec {
-            Exec::Warm | Exec::Cold => (&self.store, self.store.stats().clone()),
-            Exec::Session(s) => (s, s.stats().clone()),
-            Exec::Parallel(_) if algo == Algorithm::Brute => {
-                brute_session = self.store.session_with_stats(IoStats::new());
-                (&brute_session, brute_session.stats().clone())
-            }
-            // Each parallel worker derives its own session from the engine
-            // store; all of them meter this one query-wide IoStats.
-            Exec::Parallel(_) => (&self.store, IoStats::new()),
+        let store = match plan.exec {
+            Exec::Warm | Exec::Cold => &self.store,
+            Exec::Session(s) => s,
         };
+        let io = store.stats().clone();
         let guard = guard_for(algo, &plan.budget, io.faults());
         let input = QueryInput {
             ctx: NetCtx::with_guard(&self.net, store, &self.mid, guard.as_ref())
@@ -546,7 +532,7 @@ impl SkylineEngine {
             algo: algo.name(),
             arity: input.arity() as u64,
         });
-        let mut out = dispatch(algo, plan.exec, &input, &mut reporter, &io);
+        let mut out = dispatch(algo, &input, &mut reporter);
         let stats = QueryStats {
             total_time: started.elapsed(),
             initial_time: reporter.time_to_first(),
@@ -652,10 +638,7 @@ fn finish_trace(
 
 /// Harvests the lower-bound oracle's hit accounting into the trace as a
 /// delta over the pre-dispatch snapshot, plus the (deterministic) index
-/// footprint. The counters are commutative relaxed-atomic sums and every
-/// bound evaluation happens exactly once per (node, target) regardless
-/// of how the work is partitioned, so the delta is worker-count
-/// invariant. Build wall time stays out: it is host wall-clock, and
+/// footprint. Build wall time stays out: it is host wall-clock, and
 /// traces are bitwise deterministic (DESIGN.md §14).
 fn harvest_bound(trace: &mut QueryTrace, bound: &dyn LowerBound, before: &LbCounters) {
     let after = bound.counters();
@@ -683,33 +666,15 @@ fn guard_for(algo: Algorithm, budget: &QueryBudget, fault_base: u64) -> Option<E
     }
 }
 
-/// Routes one query to its algorithm module: the sequential form, or
-/// the intra-query parallel one under [`Exec::Parallel`].
-fn dispatch(
-    algo: Algorithm,
-    exec: Exec<'_>,
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    io: &IoStats,
-) -> AlgoOutput {
-    match (algo, exec) {
-        (Algorithm::Ce, Exec::Parallel(w)) => crate::par::run_ce(input, reporter, w, io),
-        (Algorithm::Ce, _) => crate::ce::run(input, reporter),
-        (Algorithm::Edc, Exec::Parallel(w)) => crate::par::run_edc(input, reporter, false, w, io),
-        (Algorithm::Edc, _) => crate::edc::run(input, reporter),
-        (Algorithm::EdcBatch, Exec::Parallel(w)) => {
-            crate::par::run_edc(input, reporter, true, w, io)
-        }
-        (Algorithm::EdcBatch, _) => crate::edc::run_batch(input, reporter),
-        (Algorithm::Lbc, Exec::Parallel(w)) => {
-            crate::lbc::run_parallel(input, reporter, true, w, io)
-        }
-        (Algorithm::Lbc, _) => crate::lbc::run(input, reporter, true),
-        (Algorithm::LbcNoPlb, Exec::Parallel(w)) => {
-            crate::lbc::run_parallel(input, reporter, false, w, io)
-        }
-        (Algorithm::LbcNoPlb, _) => crate::lbc::run(input, reporter, false),
-        (Algorithm::Brute, _) => crate::brute::run(input, reporter),
+/// Routes one query to its algorithm module.
+fn dispatch(algo: Algorithm, input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
+    match algo {
+        Algorithm::Ce => crate::ce::run(input, reporter),
+        Algorithm::Edc => crate::edc::run(input, reporter, false),
+        Algorithm::EdcBatch => crate::edc::run(input, reporter, true),
+        Algorithm::Lbc => crate::lbc::run(input, reporter, true),
+        Algorithm::LbcNoPlb => crate::lbc::run(input, reporter, false),
+        Algorithm::Brute => crate::brute::run(input, reporter),
     }
 }
 

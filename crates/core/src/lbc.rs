@@ -80,8 +80,6 @@ enum SessionEnd {
 /// Records one adjudication session in the query trace: the session
 /// counter always, the plb-outcome counter for discards/postponements,
 /// and (under the `trace` feature) a typed [`Event::SessionEnd`].
-/// Recording happens on the coordinator, after the session returns, so
-/// the trace is identical at every worker count (DESIGN.md §10).
 fn record_session(reporter: &mut Reporter, obj: ObjectId, end: &SessionEnd) {
     let obs = reporter.obs();
     obs.incr(Metric::LbcSessions);
@@ -125,58 +123,14 @@ fn note_oracle_discard(
     }
 }
 
+/// The LBC loop: one A\* engine per query point, all reading through the
+/// query's store.
 pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter, use_plb: bool) -> AlgoOutput {
-    let engines: Vec<AStar<'_>> = input
+    let mut engines: Vec<AStar<'_>> = input
         .queries
         .iter()
         .map(|q| AStar::new(&input.ctx, q.pos))
         .collect();
-    run_mode(input, reporter, use_plb, engines, None, None)
-}
-
-/// The parallel entry: per-dimension A\* engines own **private store
-/// sessions** (all sharing `io`, so the query's fault count is the sum of
-/// per-dimension faults — a quantity independent of worker count), and the
-/// full-resolution fan-out at each network NN runs the engines across
-/// `workers` threads via [`resolve_parallel`].
-pub(crate) fn run_parallel(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    use_plb: bool,
-    workers: usize,
-    io: &rn_storage::IoStats,
-) -> AlgoOutput {
-    let sessions: Vec<rn_storage::NetworkStore> = input
-        .queries
-        .iter()
-        .map(|_| input.ctx.store.session_with_stats(io.clone()))
-        .collect();
-    let ctxs: Vec<rn_sp::NetCtx<'_>> = sessions
-        .iter()
-        .map(|s| rn_sp::NetCtx::new(input.ctx.net, s, input.ctx.mid).with_bound(input.ctx.lb))
-        .collect();
-    let engines: Vec<AStar<'_>> = input
-        .queries
-        .iter()
-        .zip(&ctxs)
-        .map(|(q, c)| AStar::new(c, q.pos))
-        .collect();
-    run_mode(input, reporter, use_plb, engines, Some(workers), Some(io))
-}
-
-/// The LBC loop over caller-supplied engines. `par: Some(w)` fans the
-/// full-resolution sessions (the expensive step) across `w` workers;
-/// everything else — the stream, the frontier, bounded sessions — is
-/// identical to the sequential path, so both modes visit candidates in the
-/// same order and report the same skyline.
-fn run_mode(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    use_plb: bool,
-    mut engines: Vec<AStar<'_>>,
-    par: Option<usize>,
-    io: Option<&rn_storage::IoStats>,
-) -> AlgoOutput {
     let qpts: Vec<Point> = input.queries.iter().map(|q| q.point).collect();
     let n = qpts.len();
     let source = input.queries[0];
@@ -252,18 +206,9 @@ fn run_mode(
 
     loop {
         // ---- Budget check (DESIGN.md §12) ----
-        // Sequential engines tick the guard per heap pop themselves; the
-        // parallel mode keeps its engines guard-free and enforces the
-        // budget here, against deterministically merged totals, so cap
-        // trips land at the same frontier step at every worker count.
-        if let Some(g) = guard {
-            if par.is_some() {
-                let total: u64 = engines.iter().map(|e| e.stats().expansions).sum();
-                g.observe(total, io.map_or(0, |s| s.faults()));
-            }
-            if g.tripped() {
-                break;
-            }
+        // The engines tick the guard per heap pop themselves.
+        if guard.is_some_and(|g| g.tripped()) {
+            break;
         }
 
         // ---- Drain the stream while it could still beat the frontier ----
@@ -404,16 +349,12 @@ fn run_mode(
             }
 
             // Resolve each batch member fully, one at a time (cheapest
-            // dimension first, discarding early when sequential), then
-            // filter the batch pairwise.
+            // dimension first, discarding early), then filter the batch
+            // pairwise.
             let ends: Vec<SessionEnd> = batch
                 .iter()
-                .map(|&i| match par {
-                    // Any parallel-mode run takes the shared-wavefront
-                    // resolution path — including w == 1 — so the recorded
-                    // trace is worker-count-invariant (DESIGN.md §10).
-                    Some(w) => resolve_parallel(&mut slab[i], &mut engines, &skyline, w, use_plb),
-                    None => session(
+                .map(|&i| {
+                    session(
                         &mut slab[i],
                         &mut engines,
                         &skyline,
@@ -421,7 +362,7 @@ fn run_mode(
                         true,
                         use_plb,
                         guard,
-                    ),
+                    )
                 })
                 .collect();
             if guard.is_some_and(|g| g.tripped()) {
@@ -496,9 +437,7 @@ fn run_mode(
         }
     }
 
-    // Harvest the per-engine A* counters into the query trace. Each
-    // engine's work is a pure function of the candidate sequence, so
-    // these sums are identical at every worker count.
+    // Harvest the per-engine A* counters into the query trace.
     let mut stats = AStarStats::default();
     for e in &engines {
         stats.merge(&e.stats());
@@ -649,61 +588,6 @@ fn session(
             cand.exact[j] = true;
         }
     }
-}
-
-/// The parallel form of a full-resolution session: every still-inexact
-/// network dimension is resolved by its own engine, fanned across
-/// `workers` threads ([`rn_par::par_map_mut`] — static shard, index-ordered
-/// merge, no locks).
-///
-/// Deviation from the sequential session, chosen for determinism: there is
-/// no *mid*-confirmation plb-discard — each engine runs its dimension to
-/// resolution, and dominance is checked once before the fan-out and once by
-/// the caller on the exact vector. This is conservative-consistent: a
-/// candidate the sequential session discards on partial bounds is also
-/// discarded here (the skyline vector that dominated the partial bounds
-/// dominates the element-wise-larger exact vector a fortiori), so the
-/// classification — and the reported skyline — is identical; only the
-/// expansion effort differs. The work done is a pure function of the
-/// candidate, so the result is byte-identical at every worker count.
-fn resolve_parallel(
-    cand: &mut Cand,
-    engines: &mut [AStar<'_>],
-    skyline: &[(ObjectId, Vec<f64>)],
-    workers: usize,
-    use_plb: bool,
-) -> SessionEnd {
-    if use_plb && skyline.iter().any(|(_, s)| dominates(s, &cand.lb)) {
-        return SessionEnd::Discarded;
-    }
-    cand.expanded = true;
-    let pos = cand.pos;
-    let exact = &cand.exact;
-    let results = rn_par::par_map_mut(engines, workers, |j, engine| {
-        if exact[j] {
-            None
-        } else {
-            if engine.target() != Some(pos) {
-                engine.set_target(pos);
-            }
-            Some(engine.run())
-        }
-    });
-    for (j, r) in results.into_iter().enumerate() {
-        if let Some(exact_d) = r {
-            // Same admissibility contract as the sequential session.
-            #[cfg(feature = "invariant-checks")]
-            assert!(
-                cand.lb[j] <= exact_d + rn_geom::EPSILON,
-                "LBC lower-bound admissibility violated: bound {} > d_N {exact_d} in dim {j}",
-                cand.lb[j]
-            );
-            cand.lb[j] = exact_d;
-            cand.exact[j] = true;
-        }
-    }
-    debug_assert!(cand.fully_exact());
-    SessionEnd::SourceExact
 }
 
 #[cfg(test)]

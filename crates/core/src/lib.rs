@@ -69,7 +69,6 @@ pub mod edc;
 pub mod engine;
 pub mod lbc;
 pub mod nnq;
-pub(crate) mod par;
 pub mod stats;
 
 pub use attrs::AttrTable;

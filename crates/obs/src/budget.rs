@@ -9,19 +9,17 @@
 //!
 //! * [`QueryBudget`] — declarative limits (wall-clock deadline, node
 //!   expansion cap, page-fault cap) plus an optional [`CancelToken`].
-//! * [`ExecGuard`] — one per query run, created at query start. The
-//!   shortest-path engines check it at heap-pop granularity (sequential
-//!   paths); the parallel coordinators check it at round barriers with
-//!   deterministically merged totals ([`ExecGuard::observe`]), never
-//!   inside worker threads, so tripping is worker-count independent for
-//!   the cap-based limits.
+//! * [`ExecGuard`] — one per query run, created at query start. Its one
+//!   probe, [`ExecGuard::tick_expansion`], runs before every heap pop of
+//!   the query's shortest-path engines.
 //! * [`IncompleteReason`] — why a run stopped early; carried in the
 //!   trace ([`crate::Event::Incomplete`]) and in the engine's partial
 //!   result.
 //!
 //! Determinism: expansion and page-fault caps trip at a deterministic
 //! point of the (deterministic) execution, so partial results under
-//! them are bitwise reproducible at any worker count. Deadlines and
+//! them are bitwise reproducible; a batch budget applies per query, so
+//! they are also reproducible at any batch worker count. Deadlines and
 //! cancellation are wall-clock/asynchronous by nature and make only the
 //! *soundness* guarantee (every confirmed point is in the true
 //! skyline), not reproducibility — determinism tests must use caps.
@@ -152,10 +150,9 @@ impl IncompleteReason {
 /// Runtime enforcement of a [`QueryBudget`] for one query run.
 ///
 /// The guard latches: the first limit to trip records its reason, and
-/// every later check reports tripped without re-evaluating. All state
-/// is atomic so a single guard can be shared by reference across the
-/// engines of one query (the parallel coordinators still only check it
-/// from the coordinator thread — see the module docs).
+/// every later check reports tripped without re-evaluating. One guard
+/// is shared by reference across the engines of one query, so every
+/// engine's pops count against the same caps.
 #[derive(Debug)]
 pub struct ExecGuard {
     deadline: Option<Instant>,
@@ -211,25 +208,8 @@ impl ExecGuard {
         self.check_common(faults_now)
     }
 
-    /// Round-barrier check for parallel coordinators: compares
-    /// deterministically merged absolute totals against the caps
-    /// without touching the guard's own expansion counter (workers run
-    /// guard-free; the coordinator owns enforcement). Returns `false`
-    /// when the budget is exhausted.
-    pub fn observe(&self, expansions_total: u64, faults_now: u64) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return false;
-        }
-        if let Some(cap) = self.max_expansions {
-            if expansions_total > cap {
-                self.trip(IncompleteReason::ExpansionCap);
-                return false;
-            }
-        }
-        self.check_common(faults_now)
-    }
-
-    /// The cancel/fault/deadline checks shared by both entry points.
+    /// The cancel/fault/deadline checks behind
+    /// [`ExecGuard::tick_expansion`].
     // lint: allow(det-taint) — the deadline comparison reads the wall
     // clock, but a trip only truncates the search (sound partial); the
     // surviving results are byte-identical to an untruncated prefix.
@@ -291,7 +271,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(g.tick_expansion(999));
         }
-        assert!(g.observe(u64::MAX, u64::MAX));
+        assert!(g.tick_expansion(u64::MAX));
         assert!(!g.tripped());
         assert_eq!(g.reason(), None);
     }
@@ -308,7 +288,6 @@ mod tests {
         assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
         // Latched: later checks stay tripped and keep the first reason.
         assert!(!g.tick_expansion(0));
-        assert!(!g.observe(0, 0));
         assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
     }
 
@@ -322,15 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_compares_absolute_totals() {
-        let b = QueryBudget::unlimited().with_max_expansions(10);
-        let g = ExecGuard::new(&b, 0);
-        assert!(g.observe(10, 0));
-        assert!(!g.observe(11, 0));
-        assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
-    }
-
-    #[test]
     fn cancel_token_trips_every_guard_built_from_it() {
         let token = CancelToken::new();
         let b = QueryBudget::unlimited().with_cancel(token.clone());
@@ -339,7 +309,7 @@ mod tests {
         assert!(g1.tick_expansion(0));
         token.cancel();
         assert!(!g1.tick_expansion(0));
-        assert!(!g2.observe(0, 0));
+        assert!(!g2.tick_expansion(0));
         assert_eq!(g1.reason(), Some(IncompleteReason::Cancelled));
         assert_eq!(g2.reason(), Some(IncompleteReason::Cancelled));
     }

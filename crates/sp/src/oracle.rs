@@ -30,15 +30,14 @@
 //! excludes (see DESIGN.md §14).
 //!
 //! Hit accounting uses relaxed atomics: the counters are commutative
-//! sums harvested coordinator-side after the join, so totals are
-//! worker-count invariant even though workers share one oracle.
+//! sums, and the concurrent queries of a batch share one oracle.
 
 use crate::ctx::NetCtx;
 use crate::dijkstra::Dijkstra;
 use rn_geom::Point;
 use rn_graph::{EdgeId, NetPosition, NodeId, RoadNetwork};
 use rn_index::MiddleLayer;
-use rn_storage::{IoStats, NetworkStore};
+use rn_storage::NetworkStore;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which lower bound an oracle implements.
@@ -282,7 +281,7 @@ impl AltOracle {
         mid: &MiddleLayer,
         landmarks: usize,
     ) -> AltOracle {
-        let session = store.session_with_stats(IoStats::new());
+        let session = store.session();
         let ctx = NetCtx::new(net, &session, mid);
         let n = net.node_count();
         let mut chosen: Vec<NodeId> = Vec::new();
@@ -708,7 +707,7 @@ mod tests {
         for (net, counts) in &nets {
             let store = NetworkStore::build(net);
             let mid = MiddleLayer::build(net, &[]);
-            let session = store.session_with_stats(IoStats::new());
+            let session = store.session();
             let ctx = NetCtx::new(net, &session, &mid);
             for &k in counts {
                 let alt = AltOracle::build(net, &store, &mid, k);

@@ -36,7 +36,7 @@ struct Frame {
 /// and an intrusive doubly-linked list over the frame arena maintains
 /// recency order. The pool itself is deliberately lock-free and
 /// single-owner; [`crate::NetworkStore`] wraps it in a mutex for shared
-/// use, and parallel workers get *private* pools via
+/// use, and batch workers get *private* pools via
 /// [`crate::NetworkStore::session`] so their fault counts stay
 /// deterministic regardless of thread scheduling.
 pub struct BufferPool {

@@ -71,8 +71,8 @@ const ENTRY_BYTES: usize = 32;
 /// The store is immutable after construction; the interior per-shard
 /// locks guard only buffer recency state, so `&NetworkStore` can be
 /// shared freely by the query algorithms — including across threads. For
-/// parallel execution with *deterministic* fault counts, derive
-/// per-worker [`NetworkStore::session`]s instead of sharing one pool: a
+/// concurrent queries with *deterministic* fault counts, derive
+/// per-query [`NetworkStore::session`]s instead of sharing one pool: a
 /// session shares the immutable disk image and node directory (cheap
 /// `Arc` clones) but owns a private, cold buffer pool and a private
 /// [`IoStats`], so its hit/fault sequence depends only on its own access
@@ -217,32 +217,20 @@ impl NetworkStore {
     /// node directory, but a fresh cold buffer pool of the same capacity and
     /// fresh I/O counters.
     ///
-    /// Sessions are the unit of deterministic parallel accounting: each
-    /// worker reads through its own session, so page hits and faults are a
-    /// pure function of that worker's access sequence and are merged
-    /// explicitly at join time.
+    /// A query that reads through its own session meters exactly its own
+    /// page hits and faults: a batch worker's private session (DESIGN.md
+    /// §9) or an oracle build that must leave the caller's counters alone.
     pub fn session(&self) -> NetworkStore {
-        self.session_with_stats(IoStats::new())
+        self.session_with_config(self.config)
     }
 
-    /// Like [`NetworkStore::session`], but reporting into caller-supplied
-    /// counters (e.g. a per-query [`IoStats`] shared with a reporter).
-    // lint: allow(lock-reach) — runs once per worker at spawn, not per
-    // node, and each session owns a private pool so the lock is never
-    // contended (DESIGN.md §9).
-    pub fn session_with_stats(&self, stats: IoStats) -> NetworkStore {
-        self.derive_session(self.config, stats)
-    }
-
-    /// A private session with a *different* pool shape over the same disk
-    /// image — how the scale benchmark sweeps pool size × shard count ×
-    /// readahead depth without rebuilding the network for every cell.
-    pub fn session_with_config(&self, config: PoolConfig) -> NetworkStore {
-        self.derive_session(config, IoStats::new())
-    }
-
+    /// A private session with pool shape `config` over the same disk
+    /// image. [`NetworkStore::session`] passes the store's own shape; the
+    /// scale benchmark sweeps pool size × shard count × readahead depth
+    /// this way without rebuilding the network for every cell.
     // lint: allow(lock-reach) — session derivation, once per worker.
-    fn derive_session(&self, config: PoolConfig, stats: IoStats) -> NetworkStore {
+    pub fn session_with_config(&self, config: PoolConfig) -> NetworkStore {
+        let stats = IoStats::new();
         let plan = *self.fault_plan.lock();
         let pool = ShardedPool::new(config, stats.clone());
         pool.set_fault_plan(plan);

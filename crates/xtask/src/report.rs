@@ -149,7 +149,7 @@ optimality argument the reproduction rests on.",
         "A Mutex/RwLock on the per-node hot path serialises every worker of the parallel
 engine on one cache line, erasing the speedup the batch harness measures.
 Shared state there must be atomics (see the index read counters) or
-thread-local accumulation merged after the join (see rn_par::par_map_mut).
+thread-local accumulation merged after the join (see rn_par::par_map_indexed).
 This is the lexical rule for hot-path *files*; lock acquisitions reached
 through calls into other files are covered by lock-reach.",
     ),

@@ -67,7 +67,7 @@ fn is_sink(ws: &Workspace, id: FnId) -> bool {
 }
 
 /// Blessed seams: paths through them are not taint. `crates/par` is
-/// proven order-invariant by the 1/2/8-worker equivalence suites; the
+/// proven order-invariant by the 1/2/8-worker batch equivalence suites; the
 /// storage fault plan is seeded and deterministic by construction.
 /// Everything else blesses per-function with `// lint: allow(det-taint)`.
 fn blessed(ws: &Workspace, id: FnId) -> bool {
@@ -172,8 +172,8 @@ mod tests {
     fn par_crate_is_a_built_in_seam() {
         let v = lint(&[
             (
-                "crates/core/src/par.rs",
-                "pub fn run_parallel(r: Raw) -> SkylineResult { claim_next(); r.into() }\n",
+                "crates/core/src/batch.rs",
+                "pub fn execute(r: Raw) -> SkylineResult { claim_next(); r.into() }\n",
             ),
             (
                 "crates/par/src/pool.rs",

@@ -262,7 +262,7 @@ pub(crate) fn rule_apsp(fa: &FileAnalysis, out: &mut Vec<Violation>) {
 /// every worker of the parallel engine on one cache line, erasing the
 /// speedup the batch harness measures. Shared state there must be
 /// atomics (see the index read counters) or thread-local accumulation
-/// merged after the join (see `rn_par::par_map_mut`). Cross-file lock
+/// merged after the join (see `rn_par::par_map_indexed`). Cross-file lock
 /// flows are the `lock-reach` rule's job.
 pub(crate) fn rule_hot_lock(fa: &FileAnalysis, out: &mut Vec<Violation>) {
     let text = fa.clean.text();

@@ -50,7 +50,6 @@ pub(crate) fn hot_path_file(rel: &str) -> bool {
             "crates/core/src/edc.rs",
             "crates/core/src/lbc.rs",
             "crates/core/src/nnq.rs",
-            "crates/core/src/par.rs",
             "crates/core/src/batch.rs",
         ]
         .contains(&rel)

@@ -199,7 +199,7 @@ fn suppression_comment_silences_each_rule() {
             "use std::collections::HashMap; // lint: allow(hash-order)\n",
         ),
         (
-            "crates/core/src/par.rs",
+            "crates/core/src/batch.rs",
             "use std::sync::Mutex; // lint: allow(hot-lock)\n",
         ),
     ];
@@ -235,13 +235,13 @@ fn workspace_walk_skips_fixture_directory() {
 fn panic_path_reaches_every_dispatched_algorithm() {
     // The real crate sources, with a bare `.unwrap()` injected at the top
     // of functions the engine's single query path dispatches to: the
-    // sequential oracle and two intra-query parallel algorithms. Each must be
+    // brute-force oracle and two of the paper's algorithms. Each must be
     // flagged once, as reachable from the public `run_plan` entry point
     // through its one dispatch.
     let targets = [
         ("crates/core/src/brute.rs", "pub(crate) fn run("),
-        ("crates/core/src/lbc.rs", "pub(crate) fn run_parallel("),
-        ("crates/core/src/par.rs", "pub(crate) fn run_edc("),
+        ("crates/core/src/edc.rs", "pub(crate) fn run("),
+        ("crates/core/src/lbc.rs", "pub(crate) fn run("),
     ];
     let mut sources: Vec<(String, String)> = xtask::workspace_sources(&workspace_root())
         .into_iter()

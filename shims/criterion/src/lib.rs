@@ -6,6 +6,10 @@
 //! a plain median-of-samples over `Instant::now()` — good enough to spot
 //! order-of-magnitude regressions locally, with none of the real crate's
 //! statistics, warm-up modelling, or HTML reports.
+//!
+//! Like the real crate, `cargo bench ... -- <filter>` runs only the
+//! benchmarks whose id contains `<filter>` (a substring here, not a
+//! regex); the group functions themselves, and their setup, still run.
 
 #![forbid(unsafe_code)]
 
@@ -65,6 +69,8 @@ impl Bencher {
 pub struct Criterion {
     sample_size: usize,
     iters_per_sample: u64,
+    /// Only ids containing this run; `None` runs every benchmark.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -72,11 +78,20 @@ impl Default for Criterion {
         Criterion {
             sample_size: 50,
             iters_per_sample: 100,
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Takes the name filter from the command line, as the real crate
+    /// does: the first argument after the program name that does not
+    /// start with `-` (cargo passes `--bench` before it).
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = name_filter(std::env::args().skip(1));
+        self
+    }
+
     /// Sets how many timing samples each benchmark records.
     pub fn sample_size(mut self, n: usize) -> Self {
         assert!(n >= 2, "sample_size must be at least 2");
@@ -84,8 +99,16 @@ impl Criterion {
         self
     }
 
-    /// Runs one named benchmark and prints a one-line summary.
+    /// Runs one named benchmark and prints a one-line summary, unless the
+    /// name filter excludes `id`.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        if self
+            .filter
+            .as_deref()
+            .is_some_and(|want| !id.contains(want))
+        {
+            return self;
+        }
         let mut b = Bencher {
             iters_per_sample: self.iters_per_sample,
             samples: Vec::with_capacity(self.sample_size),
@@ -111,6 +134,11 @@ impl Criterion {
     }
 }
 
+/// The first argument that does not start with `-`.
+fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -129,7 +157,7 @@ fn fmt_duration(d: Duration) -> String {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -170,6 +198,27 @@ mod tests {
         c.bench_function("smoke/batched", |b| {
             b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
         });
+    }
+
+    #[test]
+    fn name_filter_skips_ids_that_do_not_contain_it() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(name_filter(args(&["--bench", "sp/"])), Some("sp/".into()));
+        assert_eq!(name_filter(args(&["--bench"])), None);
+        assert_eq!(name_filter(args(&[])), None);
+
+        let mut c = Criterion {
+            filter: name_filter(args(&["--bench", "sp/"])),
+            ..Criterion::default().sample_size(2)
+        };
+        let mut ran: Vec<&str> = Vec::new();
+        for id in ["sp/dijkstra", "rtree/nn", "storage/sp_probe", "sp/astar"] {
+            c.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| ());
+            });
+        }
+        assert_eq!(ran, ["sp/dijkstra", "sp/astar"]);
     }
 
     #[test]

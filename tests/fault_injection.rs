@@ -9,8 +9,9 @@
 //!   the skyline, its vectors and the page-fault count are bitwise
 //!   identical to the fault-free run;
 //! * the same seed reproduces the same schedule: two runs agree on every
-//!   counter, and parallel runs agree at 1, 2 and 8 workers because each
-//!   private session replays the same page/attempt sequence;
+//!   counter, and every query of a [`BatchEngine`] batch agrees at 1, 2
+//!   and 8 workers because its private session replays the same
+//!   page/attempt sequence;
 //! * a page-fault cap composes with injection: the run degrades to a
 //!   sound partial result instead of failing.
 //!
@@ -20,9 +21,10 @@
 
 mod common;
 
-use common::{canon, run_capped, run_exec, workload};
+use common::{assert_sound_prefix, canon, run_capped, run_exec, workload};
 use msq_core::{
-    Algorithm, Exec, FaultPlan, IncompleteReason, Metric, QueryBudget, SkylineEngine, SkylineResult,
+    Algorithm, BatchEngine, BatchOutcome, Exec, FaultPlan, IncompleteReason, Metric, QueryBudget,
+    SkylineEngine, SkylineResult,
 };
 use rn_graph::NetPosition;
 
@@ -47,6 +49,34 @@ fn fixture() -> (SkylineEngine, Vec<NetPosition>) {
 
 fn injected(r: &SkylineResult) -> u64 {
     r.trace.get(Metric::StorageIoInjectedErrors)
+}
+
+/// Three query sets over the fixture's points: all of them, all but the
+/// first, and the first two.
+fn batch_of(queries: &[NetPosition]) -> Vec<Vec<NetPosition>> {
+    vec![
+        queries.to_vec(),
+        queries[1..].to_vec(),
+        queries[..2].to_vec(),
+    ]
+}
+
+/// Asserts that every query of `got` matches its twin in `base`: the
+/// skyline, the completion and every trace counter.
+fn assert_same_batch(got: &BatchOutcome, base: &BatchOutcome, label: &str) {
+    assert_eq!(got.results.len(), base.results.len(), "{label}");
+    for (i, (r, b)) in got.results.iter().zip(&base.results).enumerate() {
+        assert_eq!(canon(r), canon(b), "{label}: query {i} skyline diverged");
+        assert_eq!(
+            r.completion, b.completion,
+            "{label}: query {i} completion diverged"
+        );
+        assert_eq!(
+            r.trace.to_json(),
+            b.trace.to_json(),
+            "{label}: query {i} trace diverged"
+        );
+    }
 }
 
 #[test]
@@ -108,52 +138,45 @@ fn same_seed_reproduces_the_same_schedule() {
     engine.set_fault_plan(None);
 }
 
-/// The headline chaos property: under a fixed fault plan the whole result
-/// — skyline, vectors, fault counts, injection/retry/backoff counters —
-/// is bitwise identical at 1, 2 and 8 workers.
+/// The headline chaos property on the concurrent path: under a fixed
+/// fault plan every query of a batch — skyline, vectors, fault counts,
+/// injection/retry/backoff counters — is bitwise identical at 1, 2 and 8
+/// workers.
 #[test]
-fn faulted_parallel_runs_are_worker_count_invariant() {
+fn faulted_batches_are_worker_count_invariant() {
     let (engine, queries) = fixture();
+    let batch = batch_of(&queries);
     engine.set_fault_plan(Some(FaultPlan::new(0xBAD5EED, FAIL_PER_64K)));
     for algo in ALL {
-        let base = run_exec(&engine, algo, &queries, Exec::Parallel(1));
-        assert!(injected(&base) > 0, "{}", algo.name());
+        let base = BatchEngine::new(&engine, 1).run(algo, &batch);
+        for (i, r) in base.results.iter().enumerate() {
+            assert!(injected(r) > 0, "{} query {i}", algo.name());
+        }
         for workers in [2usize, 8] {
-            let r = run_exec(&engine, algo, &queries, Exec::Parallel(workers));
-            assert_eq!(
-                canon(&r),
-                canon(&base),
-                "{}: faulted skyline diverged at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.trace.to_json(),
-                base.trace.to_json(),
-                "{}: faulted trace diverged at {} workers",
-                algo.name(),
-                workers
-            );
+            let got = BatchEngine::new(&engine, workers).run(algo, &batch);
+            let label = format!("{} at {workers} workers", algo.name());
+            assert_same_batch(&got, &base, &label);
         }
     }
     engine.set_fault_plan(None);
 }
 
 /// Budget + faults compose: a page-fault cap under an active fault plan
-/// degrades to a sound partial answer, deterministically across worker
-/// counts.
+/// degrades to a sound partial answer, and a capped batch is
+/// deterministic across worker counts.
 #[test]
 fn page_fault_cap_composes_with_injection() {
     let (engine, queries) = fixture();
+    let batch = batch_of(&queries);
     engine.set_fault_plan(None);
     let brute = engine.run(Algorithm::Brute, &queries);
     engine.set_fault_plan(Some(FaultPlan::new(11, FAIL_PER_64K)));
     for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-        let full = run_exec(&engine, algo, &queries, Exec::Parallel(2));
+        let full = run_exec(&engine, algo, &queries, Exec::Cold);
         let cap = (full.page_faults() / 2).max(1);
         let budget = QueryBudget::unlimited().with_max_page_faults(cap);
-        let base = run_capped(&engine, algo, &queries, Exec::Parallel(1), budget.clone());
-        let info = base
+        let capped = run_capped(&engine, algo, &queries, Exec::Cold, budget.clone());
+        let info = capped
             .completion
             .partial()
             .unwrap_or_else(|| panic!("{}: halved fault cap must trip", algo.name()));
@@ -163,31 +186,22 @@ fn page_fault_cap_composes_with_injection() {
             "{}",
             algo.name()
         );
-        for p in &base.skyline {
-            let want = brute
-                .vector_of(p.object)
-                .unwrap_or_else(|| panic!("{}: {:?} not in true skyline", algo.name(), p.object));
-            for (a, b) in p.vector.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{}", algo.name());
-            }
-        }
+        assert_sound_prefix(&capped, &brute, algo.name());
+
+        // The batch's first query is the cold run's query on a private
+        // cold session, so it stops at the same point.
+        let base = BatchEngine::new(&engine, 1).run_with_budget(algo, &batch, &budget);
+        assert_eq!(canon(&base.results[0]), canon(&capped), "{}", algo.name());
+        assert_eq!(
+            base.results[0].completion,
+            capped.completion,
+            "{}",
+            algo.name()
+        );
         for workers in [2usize, 8] {
-            let exec = Exec::Parallel(workers);
-            let r = run_capped(&engine, algo, &queries, exec, budget.clone());
-            assert_eq!(
-                canon(&r),
-                canon(&base),
-                "{} at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.completion,
-                base.completion,
-                "{} completion diverged at {} workers",
-                algo.name(),
-                workers
-            );
+            let got = BatchEngine::new(&engine, workers).run_with_budget(algo, &batch, &budget);
+            let label = format!("{} capped at {workers} workers", algo.name());
+            assert_same_batch(&got, &base, &label);
         }
     }
     engine.set_fault_plan(None);

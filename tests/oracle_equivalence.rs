@@ -8,14 +8,13 @@
 //!
 //! * every algorithm (CE, EDC, EDC-batch, LBC, LBC-noplb) returns a
 //!   **bitwise identical** skyline under the Euclid and ALT bounds;
-//! * the same holds for `run_parallel` at 1, 2 and 8 workers;
 //! * on a detour-heavy workload ALT's pruning cuts the aggregate A\*
 //!   expansion count of the EDC/LBC paths.
 
 mod common;
 
-use common::{build, canon, params, run_exec};
-use msq_core::{Algorithm, BoundSpec, Exec, Metric, SkylineEngine};
+use common::{build, canon, params};
+use msq_core::{Algorithm, BoundSpec, Metric, SkylineEngine};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -59,36 +58,6 @@ proptest! {
         }
         engine.set_bound(BoundSpec::Euclid);
     }
-
-    /// Parallel: worker count and bound kind are both irrelevant to the
-    /// answer — 2 bounds x 3 worker counts, one skyline per algorithm.
-    #[test]
-    fn parallel_skylines_match_at_every_worker_count(p in params()) {
-        let Some(mut engine) = build(&p) else { return Ok(()) };
-        let queries = queries_for(&engine, p.nq, p.seed + 13);
-        for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-            let mut base: Option<Vec<(u32, Vec<u64>)>> = None;
-            for spec in SPECS {
-                engine.set_bound(spec);
-                for workers in [1usize, 2, 8] {
-                    let got = canon(&run_exec(&engine, algo, &queries, Exec::Parallel(workers)));
-                    match &base {
-                        None => base = Some(got),
-                        Some(b) => prop_assert_eq!(
-                            b,
-                            &got,
-                            "{} diverged under {:?} at {} workers",
-                            algo.name(),
-                            spec,
-                            workers
-                        ),
-                    }
-                }
-            }
-        }
-        engine.set_bound(BoundSpec::Euclid);
-    }
-
 }
 
 /// The oracle exists to prune. Per-instance monotonicity is *not* a

@@ -1,10 +1,9 @@
 //! One query path (DESIGN.md §18): every combination a [`QueryPlan`] can
 //! express must return the brute-force answer, bitwise.
 //!
-//! * Every algorithm × exec mode (warm, cold, session, parallel at 1/2/8
-//!   workers) × attributes (none, one column) × source strategy (first,
-//!   centroid, last) equals [`Algorithm::Brute`] with the same attributes
-//!   under `canon`.
+//! * Every algorithm × exec mode (warm, cold, session) × attributes
+//!   (none, one column) × source strategy (first, centroid, last) equals
+//!   [`Algorithm::Brute`] with the same attributes under `canon`.
 //! * A budget combined with a non-first source yields a sound prefix:
 //!   confirmed vectors and unresolved lower bounds both come back in the
 //!   caller's query order.
@@ -44,9 +43,6 @@ fn every_plan_combination_matches_brute() {
             (Exec::Warm, "warm"),
             (Exec::Cold, "cold"),
             (Exec::Session(&session), "session"),
-            (Exec::Parallel(1), "parallel-1"),
-            (Exec::Parallel(2), "parallel-2"),
-            (Exec::Parallel(8), "parallel-8"),
         ];
         let sources = [
             SourceStrategy::First,
@@ -90,7 +86,7 @@ fn budgets_compose_with_a_non_first_source() {
         let (engine, queries) = workload(seed, 8, 8, 80, 0.9, 3, 0.3, 1.4);
         let brute = engine.run(Algorithm::Brute, &queries);
         for algo in &ALL[..5] {
-            for exec in [Exec::Warm, Exec::Parallel(2)] {
+            for exec in [Exec::Warm, Exec::Cold] {
                 for source in [SourceStrategy::Centroid, SourceStrategy::Index(2)] {
                     let plan = QueryPlan {
                         exec,
@@ -141,12 +137,6 @@ fn short_attr_table_panics_under_session() {
 }
 
 #[test]
-#[should_panic(expected = "cover every object")]
-fn short_attr_table_panics_under_parallel() {
-    run_invalid(|_| Exec::Parallel(2), false);
-}
-
-#[test]
 #[should_panic(expected = "at least one query point")]
 fn empty_query_set_panics_cold() {
     run_invalid(|_| Exec::Cold, true);
@@ -156,10 +146,4 @@ fn empty_query_set_panics_cold() {
 #[should_panic(expected = "at least one query point")]
 fn empty_query_set_panics_under_session() {
     run_invalid(|s| Exec::Session(s), true);
-}
-
-#[test]
-#[should_panic(expected = "at least one query point")]
-fn empty_query_set_panics_under_parallel() {
-    run_invalid(|_| Exec::Parallel(2), true);
 }
