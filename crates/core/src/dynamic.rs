@@ -5,66 +5,46 @@
 //! *registered* query, the exact network-distance vector of every live
 //! object. Every row is resolved one way: one A\* engine per query point,
 //! its settled map shared across the rows it resolves. Registration
-//! resolves every live row; applying an [`UpdateBatch`] re-resolves only
-//! the rows the batch can have touched:
+//! resolves every live row, and applying an [`UpdateBatch`] follows one
+//! rule:
 //!
-//! * every row of a query whose own points sit on a re-weighted edge;
-//! * objects sitting on a re-weighted edge (their along-edge position
-//!   changes with the weight) and inserted objects;
-//! * every other `(query point, object)` pair is kept when a sound
-//!   *blast-radius certificate* proves no path through a changed edge can
-//!   alter its exact distance (see [the invalidation rule](#invalidation)),
-//!   re-resolved otherwise;
+//! * a batch that changes some edge's weight re-resolves every live row
+//!   of every registered query, after re-deriving every query point from
+//!   its stored fractions;
+//! * any other batch resolves only the slots it inserted;
 //! * deletions cost zero expansions — the retired row simply stops
 //!   participating in dominance adjudication.
 //!
-//! # Invalidation
-//!
-//! Let `v = d_old(q, s)` be the maintained exact distance. For an edge
-//! `e = (a, b)` whose weight rose from `w_old` to `w_new`, any *old* path
-//! through `e` is at least `lbₒ(q,a) + w_old + lbₒ(b,s)` (minimised over
-//! the two orientations), with `lbₒ` admissible on the pre-batch graph;
-//! if that exceeds `v` strictly, no old shortest path used `e`. For an
-//! edge whose weight fell, any *new* path through `e` is at least
-//! `lbₙ(q,a) + w_new + lbₙ(b,s)` with `lbₙ` admissible on the post-batch
-//! graph; if that is at least `v`, no new path through `e` beats the old
-//! distance. When every changed edge passes its test, the old shortest
-//! path survives (increases) and cannot be undercut (decreases), so
-//! `d_new(q, s) = v` exactly — the entry is certified clean. Bound
-//! selection makes both sides sound without extra bookkeeping: the
-//! engine's oracle is *always* admissible on the current graph, so the
-//! old side is evaluated before the substrates mutate and the new side
-//! after the staleness protocol (degrade-to-Euclid or rebuild) has run.
-//!
-//! Both tests compare against `v` raised by the relative slack
-//! `CERT_TOLERANCE`. A bound can be exact (ALT's often is, Euclid's
-//! along straight edges), and then the rounded sum can land an ulp above
-//! the rounded `v` of a path that does cross the edge; the slack covers
-//! the rounding of both sums (DESIGN.md §15.2).
+//! A weight rewrite that the free-flow clamp of
+//! [`RoadNetwork::set_edge_weight`](rn_graph::RoadNetwork::set_edge_weight)
+//! leaves where it was changes nothing. Re-resolving every row after a
+//! weight change is deliberate: A\* toward a subset of rows spread over
+//! the map settles nearly the region A\* toward every row settles, so
+//! picking rows saves almost nothing (DESIGN.md §15.2 measures the
+//! blast-radius certificates that did).
 //!
 //! # Bitwise contract
 //!
 //! After any update sequence, [`DynamicEngine::skyline`] is bitwise
 //! identical — object ids, vectors, and completeness — to a from-scratch
 //! [`SkylineEngine`] built over the mutated network and the surviving
-//! slot layout ([`DynamicEngine::scratch_engine`]). Three mechanisms carry
-//! the contract: object and query positions are stored as *weight
+//! slot layout ([`DynamicEngine::scratch_engine`]). Three facts carry the
+//! contract: object and query positions are stored as *weight
 //! fractions* and re-derived as `frac * weight` (never rescaled
 //! incrementally), so applying a batch and its
-//! [`UpdateBatch::inverse`] restores every coordinate bit-for-bit;
-//! certified-clean entries are, by the argument above, exactly the
-//! distances a scratch run would compute; and an A\* row is the same
-//! float sum an INE drain reports (DESIGN.md §15.2). With
-//! `invariant-checks` on, [`DynamicEngine::apply`] re-resolves every
-//! certified-clean live row and asserts it bitwise.
+//! [`UpdateBatch::inverse`] restores every coordinate bit-for-bit; a row
+//! is kept only when its batch changed no weight, so no distance it holds
+//! can have moved; and every other row goes through the same A\* a fresh
+//! registration runs, whose row is the same float sum an INE drain
+//! reports (DESIGN.md §15.2).
 
 use crate::engine::SkylineEngine;
 use crate::stats::SkylinePoint;
 use rn_geom::Mbr;
-use rn_graph::{EdgeId, NetPosition, NodeId, ObjectId, RoadNetwork, Update, UpdateBatch};
+use rn_graph::{EdgeId, NetPosition, ObjectId, Update, UpdateBatch};
 use rn_obs::{Metric, QueryTrace};
 use rn_skyline::brute_force_skyline;
-use rn_sp::{AStar, LbTarget, NetCtx};
+use rn_sp::{AStar, NetCtx};
 
 /// What happens to a precomputed lower-bound oracle when a batch lowers
 /// an edge weight (increases never invalidate it — see
@@ -77,14 +57,10 @@ pub enum OracleMaintenance {
     Degrade,
     /// Re-run the oracle build against the mutated network immediately
     /// (counted in `dyn.oracle.rebuilds`). Expensive, restores full
-    /// pruning strength for the certificates and the repair searches.
+    /// pruning strength for the queries run on [`DynamicEngine::engine`];
+    /// maintenance itself never reads the bound.
     Rebuild,
 }
-
-/// Relative slack on the certificate comparisons: a row stays clean only
-/// when the bound sum clears `v + v * CERT_TOLERANCE` (see
-/// [the invalidation rule](self#invalidation) and DESIGN.md §15.2).
-const CERT_TOLERANCE: f64 = 1e-9;
 
 /// Handle to a registered query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,9 +77,8 @@ pub struct MaintenanceOutcome {
     /// Registered queries that re-resolved some, but not all, of their
     /// live rows (`dyn.recompute.incremental`).
     pub incremental: u64,
-    /// Registered queries that re-resolved every live row: the query's
-    /// own points moved, or no certificate kept a row clean
-    /// (`dyn.recompute.full`).
+    /// Registered queries that re-resolved every live row — every query,
+    /// when the batch changed some edge's weight (`dyn.recompute.full`).
     pub full: u64,
     /// Oracle rebuilds triggered (`dyn.oracle.rebuilds`).
     pub oracle_rebuilds: u64,
@@ -126,7 +101,7 @@ struct RegisteredQuery {
 }
 
 /// Incremental maintenance engine: a [`SkylineEngine`] plus the versioned
-/// update protocol. See the module docs for the invalidation rule and the
+/// update protocol. See the module docs for the maintenance rule and the
 /// bitwise contract.
 pub struct DynamicEngine {
     engine: SkylineEngine,
@@ -279,42 +254,27 @@ impl DynamicEngine {
 
     /// Applies one update batch: mutates every substrate (network
     /// weights, disk image, middle layer, object R-tree), runs the
-    /// oracle staleness protocol, and re-resolves the rows of every
-    /// registered query that no certificate keeps clean. Returns what it
-    /// did; the same counters accumulate in [`DynamicEngine::trace`].
+    /// oracle staleness protocol, and re-resolves the rows the batch can
+    /// have moved: every live row when some edge's weight changed, else
+    /// the inserted ones. Returns what it did; the same counters
+    /// accumulate in [`DynamicEngine::trace`].
+    ///
+    /// # Panics
+    /// Panics, before any substrate changes, when an update names an
+    /// unknown edge, a weight is not finite and positive, an insert
+    /// offset is not finite, or a delete names an unknown or dead object
+    /// or one the batch already deletes.
     pub fn apply(&mut self, batch: &UpdateBatch) -> MaintenanceOutcome {
+        self.check(batch);
         let mut out = MaintenanceOutcome {
             updates: batch.len() as u64,
             ..MaintenanceOutcome::default()
         };
-        let deltas = classify(self.engine.network(), batch);
-        let any_decrease = deltas.iter().any(|d| d.w_new < d.w_old);
-        let any_increase = deltas.iter().any(|d| d.w_new > d.w_old);
-        let touched = batch.touched_edges();
-
-        // Per query: dirty flags over the pre-batch slot space (inserted
-        // slots are appended as unconditionally dirty later). A query
-        // whose own points move re-resolves every row.
         let slots = self.fracs.len();
-        let query_moved: Vec<bool> = self
-            .queries
-            .iter()
-            .map(|q| q.edges.iter().any(|e| touched.binary_search(e).is_ok()))
-            .collect();
-        let mut dirty: Vec<Vec<bool>> = query_moved.iter().map(|&m| vec![m; slots]).collect();
-
-        // Old-side certificates (weight increases) against the pre-batch
-        // bound, which is admissible on the pre-batch graph.
-        if any_increase {
-            let rising: Vec<&WeightDelta> = deltas.iter().filter(|d| d.w_new > d.w_old).collect();
-            self.certify(&rising, CertSide::Old, &touched, &query_moved, &mut dirty);
-        }
-
-        // --- mutate the substrates ---
-        let moved_objects = self.mutate(batch, &deltas, &touched);
+        let (reweighted, fell) = self.mutate(batch);
 
         // Oracle staleness protocol (DESIGN.md §15.3).
-        if any_decrease {
+        if fell {
             match self.oracle {
                 OracleMaintenance::Degrade => {
                     self.engine.bound_ref().note_weight_change(true);
@@ -325,57 +285,38 @@ impl DynamicEngine {
                     out.oracle_rebuilds += 1;
                 }
             }
-        } else if !deltas.is_empty() {
+        } else if reweighted {
             self.engine.bound_ref().note_weight_change(false);
         }
 
-        // New-side certificates (weight decreases) against the post-batch
-        // bound, which is admissible on the post-batch graph.
-        if any_decrease {
-            let falling: Vec<&WeightDelta> = deltas.iter().filter(|d| d.w_new < d.w_old).collect();
-            self.certify(&falling, CertSide::New, &touched, &query_moved, &mut dirty);
-        }
-        for d in &mut dirty {
-            for &o in &moved_objects {
-                d[o.idx()] = true;
+        if reweighted {
+            let net = self.engine.network();
+            for q in &mut self.queries {
+                for (k, e) in q.edges.iter().enumerate() {
+                    q.points[k] = NetPosition::new(*e, q.fracs[k] * net.edge(*e).length);
+                }
             }
         }
 
-        // Re-derive moved query points from their stored fractions.
-        let net = self.engine.network();
-        for (qi, q) in self.queries.iter_mut().enumerate() {
-            if !query_moved[qi] {
-                continue;
-            }
-            for (k, e) in q.edges.iter().enumerate() {
-                let w = net.edge(*e).length;
-                q.points[k] = NetPosition::new(*e, q.fracs[k] * w);
-            }
-        }
-
-        // --- re-resolve the dirty rows of every registered query ---
+        // The rows this batch can have moved: every live row after a
+        // weight change, else the inserted slots (the tail of `live`).
         let live = self.live_objects();
-        for (qi, mut dirty_slots) in dirty.into_iter().enumerate() {
-            // Slots inserted by this batch are unconditionally dirty.
-            dirty_slots.resize(self.fracs.len(), true);
-            let arity = self.queries[qi].points.len();
-            self.queries[qi]
-                .table
-                .resize(self.fracs.len(), vec![f64::INFINITY; arity]);
-            let (rows, clean): (Vec<ObjectId>, Vec<ObjectId>) =
-                live.iter().partition(|o| dirty_slots[o.idx()]);
-            #[cfg(feature = "invariant-checks")]
-            self.check_certified(qi, &clean);
-            if rows.is_empty() {
-                continue;
-            }
-            if clean.is_empty() {
-                out.full += 1;
+        let rows = if reweighted {
+            &live[..]
+        } else {
+            &live[live.partition_point(|o| o.idx() < slots)..]
+        };
+        if !rows.is_empty() {
+            let queries = self.queries.len() as u64;
+            if rows.len() == live.len() {
+                out.full = queries;
             } else {
-                out.incremental += 1;
+                out.incremental = queries;
             }
-            out.invalidated += rows.len() as u64;
-            out.expansions += self.resolve_rows(qi, &rows);
+            out.invalidated = queries * rows.len() as u64;
+            for qi in 0..self.queries.len() {
+                out.expansions += self.resolve_rows(qi, rows);
+            }
         }
 
         self.trace.add(Metric::DynUpdatesApplied, out.updates);
@@ -390,148 +331,123 @@ impl DynamicEngine {
         out
     }
 
-    /// Marks dirty every `(query point, object)` entry the certificates
-    /// cannot prove clean against the given weight deltas.
-    fn certify(
-        &self,
-        deltas: &[&WeightDelta],
-        side: CertSide,
-        touched: &[EdgeId],
-        query_moved: &[bool],
-        dirty: &mut [Vec<bool>],
-    ) {
-        let net = self.engine.network();
-        let bound = self.engine.bound_ref();
+    /// Checks every update of `batch` against the current state, so that
+    /// a malformed batch panics before [`Self::mutate`] changes anything.
+    /// A delete may name a slot an earlier insert of the same batch
+    /// creates.
+    fn check(&self, batch: &UpdateBatch) {
+        let edges = self.engine.network().edge_count();
         let mid = self.engine.mid_ref();
-        for (qi, q) in self.queries.iter().enumerate() {
-            if query_moved[qi] {
-                continue; // every row re-resolves anyway
-            }
-            // lb(query point k, endpoint) per delta, both endpoints.
-            let q_targets: Vec<LbTarget> = q.points.iter().map(|p| LbTarget::of(net, p)).collect();
-            let qb: Vec<Vec<(f64, f64)>> = deltas
-                .iter()
-                .map(|d| {
-                    q_targets
-                        .iter()
-                        .map(|t| {
-                            (
-                                bound.node_bound(d.u, net.point(d.u), t),
-                                bound.node_bound(d.v, net.point(d.v), t),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            for (slot, row) in q.table.iter().enumerate() {
-                let object = ObjectId(slot as u32);
-                if dirty[qi][slot] || !mid.is_live(object) {
-                    continue;
+        let before = self.fracs.len();
+        let mut slots = before;
+        let mut deleted = Vec::new();
+        for u in batch.updates() {
+            match *u {
+                Update::SetEdgeWeight { edge, weight } => {
+                    assert!(edge.idx() < edges, "weight update on unknown edge {edge:?}");
+                    assert!(
+                        weight.is_finite() && weight > 0.0,
+                        "edge weight must be finite and positive, got {weight}"
+                    );
                 }
-                let pos = mid.position(object);
-                if touched.binary_search(&pos.edge).is_ok() {
-                    continue; // repositioned: unconditionally dirty
+                Update::InsertObject { pos } => {
+                    assert!(
+                        pos.edge.idx() < edges,
+                        "insert on unknown edge {:?}",
+                        pos.edge
+                    );
+                    assert!(
+                        pos.offset.is_finite(),
+                        "insert offset must be finite, got {}",
+                        pos.offset
+                    );
+                    slots += 1;
                 }
-                let t_obj = LbTarget::of(net, &pos);
-                'deltas: for (di, d) in deltas.iter().enumerate() {
-                    let ou = bound.node_bound(d.u, net.point(d.u), &t_obj);
-                    let ov = bound.node_bound(d.v, net.point(d.v), &t_obj);
-                    let w = match side {
-                        CertSide::Old => d.w_old,
-                        CertSide::New => d.w_new,
-                    };
-                    for (k, v) in row.iter().enumerate() {
-                        if !v.is_finite() {
-                            // Unreachable stays unreachable: weight
-                            // updates never change connectivity.
-                            continue;
-                        }
-                        let (qu, qv) = qb[di][k];
-                        let through = (qu + w + ov).min(qv + w + ou);
-                        let margin = v + v * CERT_TOLERANCE;
-                        let clean = match side {
-                            CertSide::Old => through > margin,
-                            CertSide::New => through >= margin,
-                        };
-                        if !clean {
-                            dirty[qi][slot] = true;
-                            break 'deltas;
-                        }
-                    }
+                Update::DeleteObject { object } => {
+                    assert!(object.idx() < slots, "deleting unknown object {object:?}");
+                    assert!(
+                        object.idx() >= before || mid.is_live(object),
+                        "deleting a dead object {object:?}"
+                    );
+                    deleted.push(object);
                 }
             }
         }
+        deleted.sort_unstable();
+        assert!(
+            deleted.windows(2).all(|w| w[0] != w[1]),
+            "batch deletes an object twice"
+        );
     }
 
     /// Applies the batch to every substrate: weights (network + disk
-    /// image), repositioned objects, inserts and deletes (middle layer +
-    /// R-tree). Returns the live objects whose positions moved.
-    fn mutate(
-        &mut self,
-        batch: &UpdateBatch,
-        deltas: &[WeightDelta],
-        touched: &[EdgeId],
-    ) -> Vec<ObjectId> {
-        let slots = self.fracs.len();
-        let mut moved = Vec::new();
-        {
-            let (net, store, mid, tree) = self.engine.substrates_mut();
-            for d in deltas {
-                net.set_edge_weight(d.edge, d.w_new);
-            }
-            if !touched.is_empty() {
-                store.apply_edge_weights(net, touched);
-            }
-            // Reposition live objects riding re-weighted edges: their
-            // stored offset is `frac * weight` of the *new* weight.
-            for i in 0..slots {
-                let object = ObjectId(i as u32);
-                if !mid.is_live(object) {
-                    continue;
+    /// image), objects riding re-weighted edges, inserts and deletes
+    /// (middle layer, R-tree and every query's table). Returns whether
+    /// some edge's weight changed and whether some weight fell, as
+    /// [`RoadNetwork::set_edge_weight`](rn_graph::RoadNetwork::set_edge_weight)
+    /// reports and writes them.
+    fn mutate(&mut self, batch: &UpdateBatch) -> (bool, bool) {
+        let (net, store, mid, tree) = self.engine.substrates_mut();
+        let mut changed = Vec::new();
+        let mut fell = false;
+        for u in batch.updates() {
+            if let Update::SetEdgeWeight { edge, weight } = *u {
+                let old = net.set_edge_weight(edge, weight);
+                let new = net.edge(edge).length;
+                if new != old {
+                    changed.push(edge);
+                    fell |= new < old;
                 }
-                let pos = mid.position(object);
-                if touched.binary_search(&pos.edge).is_err() {
-                    continue;
-                }
-                let w = net.edge(pos.edge).length;
-                let next = NetPosition::new(pos.edge, self.fracs[i] * w);
-                let old_point = mid.point(object);
-                mid.set_object_position(net, object, next);
-                let new_point = mid.point(object);
-                if old_point != new_point {
-                    tree.remove(&Mbr::from_point(old_point), &object);
-                    tree.insert(Mbr::from_point(new_point), object);
-                }
-                moved.push(object);
             }
-            for u in batch.updates() {
-                match u {
-                    Update::SetEdgeWeight { .. } => {}
-                    Update::InsertObject { pos } => {
-                        let w = net.edge(pos.edge).length;
-                        let frac = (pos.offset / w).clamp(0.0, 1.0);
-                        let canonical = NetPosition::new(pos.edge, frac * w);
-                        let id = mid.insert_object(net, canonical);
-                        debug_assert_eq!(id.idx(), self.fracs.len());
-                        self.fracs.push(frac);
-                        tree.insert(Mbr::from_point(mid.point(id)), id);
+        }
+        changed.sort_unstable();
+        store.apply_edge_weights(net, &changed);
+        // Reposition live objects riding re-weighted edges: their stored
+        // offset is `frac * weight` of the *new* weight.
+        for (i, frac) in self.fracs.iter().enumerate() {
+            let object = ObjectId(i as u32);
+            if !mid.is_live(object) {
+                continue;
+            }
+            let pos = mid.position(object);
+            if changed.binary_search(&pos.edge).is_err() {
+                continue;
+            }
+            let w = net.edge(pos.edge).length;
+            let old_point = mid.point(object);
+            mid.set_object_position(net, object, NetPosition::new(pos.edge, frac * w));
+            let new_point = mid.point(object);
+            if old_point != new_point {
+                tree.remove(&Mbr::from_point(old_point), &object);
+                tree.insert(Mbr::from_point(new_point), object);
+            }
+        }
+        for u in batch.updates() {
+            match u {
+                Update::SetEdgeWeight { .. } => {}
+                Update::InsertObject { pos } => {
+                    let w = net.edge(pos.edge).length;
+                    let frac = (pos.offset / w).clamp(0.0, 1.0);
+                    let canonical = NetPosition::new(pos.edge, frac * w);
+                    let id = mid.insert_object(net, canonical);
+                    debug_assert_eq!(id.idx(), self.fracs.len());
+                    self.fracs.push(frac);
+                    tree.insert(Mbr::from_point(mid.point(id)), id);
+                    for q in &mut self.queries {
+                        q.table.push(vec![f64::INFINITY; q.points.len()]);
                     }
-                    Update::DeleteObject { object } => {
-                        assert!(mid.is_live(*object), "deleting a dead object {object:?}");
-                        let point = mid.point(*object);
-                        tree.remove(&Mbr::from_point(point), object);
-                        mid.remove_object(*object);
-                        for q in &mut self.queries {
-                            if object.idx() < q.table.len() {
-                                let arity = q.points.len();
-                                q.table[object.idx()] = vec![f64::INFINITY; arity];
-                            }
-                        }
+                }
+                Update::DeleteObject { object } => {
+                    let point = mid.point(*object);
+                    tree.remove(&Mbr::from_point(point), object);
+                    mid.remove_object(*object);
+                    for q in &mut self.queries {
+                        q.table[object.idx()].fill(f64::INFINITY);
                     }
                 }
             }
         }
-        moved
+        (!changed.is_empty(), fell)
     }
 
     /// The exact distances from each of query `qi`'s points to `rows`,
@@ -571,69 +487,6 @@ impl DynamicEngine {
         }
         expansions
     }
-
-    /// Contract: every row the certificates kept is the distance a fresh
-    /// resolution computes on the mutated network, bit for bit. Its
-    /// expansions are not counted.
-    #[cfg(feature = "invariant-checks")]
-    fn check_certified(&self, qi: usize, clean: &[ObjectId]) {
-        let (cols, _) = self.resolve(qi, clean);
-        for (k, col) in cols.iter().enumerate() {
-            for (&o, &fresh) in clean.iter().zip(col) {
-                let kept = self.queries[qi].table[o.idx()][k];
-                assert_eq!(
-                    kept.to_bits(),
-                    fresh.to_bits(),
-                    "certified row unsound: query {qi}, point {k}, object {o:?} kept {kept} \
-                     but re-resolves to {fresh}"
-                );
-            }
-        }
-    }
-}
-
-/// Which graph a certificate's lower bound must be admissible on.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CertSide {
-    /// Pre-batch graph (weight increases; strict `>` required).
-    Old,
-    /// Post-batch graph (weight decreases; `≥` suffices).
-    New,
-}
-
-/// One weight update, resolved against the pre-batch network.
-struct WeightDelta {
-    edge: EdgeId,
-    u: NodeId,
-    v: NodeId,
-    /// Weight before the batch.
-    w_old: f64,
-    /// Weight after the batch — the requested value run through the same
-    /// free-flow clamp [`RoadNetwork::set_edge_weight`] applies.
-    w_new: f64,
-}
-
-/// Resolves the batch's weight updates into [`WeightDelta`]s.
-fn classify(net: &RoadNetwork, batch: &UpdateBatch) -> Vec<WeightDelta> {
-    batch
-        .updates()
-        .iter()
-        .filter_map(|u| match u {
-            Update::SetEdgeWeight { edge, weight } => {
-                let e = net.edge(*edge);
-                let floor = e.geometry.length();
-                let w_new = if *weight < floor { floor } else { *weight };
-                Some(WeightDelta {
-                    edge: *edge,
-                    u: e.u,
-                    v: e.v,
-                    w_old: e.length,
-                    w_new,
-                })
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -711,6 +564,17 @@ mod tests {
             object: inserted,
         }]));
         assert_eq!(d.live_objects().len(), before);
+        // A batch may delete a slot its own earlier insert creates.
+        let out = d.apply(&UpdateBatch::new(vec![
+            Update::InsertObject {
+                pos: NetPosition::new(EdgeId(3), 0.25),
+            },
+            Update::DeleteObject {
+                object: ObjectId(before as u32 + 1),
+            },
+        ]));
+        assert_eq!(out.invalidated, 0);
+        assert_eq!(d.live_objects().len(), before);
         let scratch = d.scratch_engine();
         let r = scratch.run(Algorithm::Brute, d.query_points(q));
         assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
@@ -729,11 +593,9 @@ mod tests {
         assert_eq!(out.invalidated, 0);
     }
 
-    #[test]
-    fn certificates_keep_far_away_objects_clean() {
-        // A long line: raising the weight of the far-end edge cannot
-        // change distances near the query, and the Euclid certificates
-        // prove it — nothing is invalidated.
+    /// A six-node line of 100 m straight edges, objects at the middle of
+    /// edges 0 and 1, and one registered query point 10 m into edge 0.
+    fn line_engine() -> (DynamicEngine, QueryId) {
         let mut b = NetworkBuilder::new();
         let nodes: Vec<_> = (0..6)
             .map(|i| b.add_node(Point::new(100.0 * i as f64, 0.0)))
@@ -748,16 +610,66 @@ mod tests {
         ];
         let mut d = DynamicEngine::new(SkylineEngine::build(net, objects));
         let q = d.register_query(&[NetPosition::new(EdgeId(0), 10.0)]);
+        (d, q)
+    }
+
+    fn assert_matches_brute(d: &DynamicEngine, q: QueryId) {
+        let r = d.scratch_engine().run(Algorithm::Brute, d.query_points(q));
+        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
+    }
+
+    #[test]
+    fn weight_change_re_resolves_every_live_row() {
+        // Even an edge no shortest path crosses re-resolves both rows.
+        let (mut d, q) = line_engine();
         let w = d.engine().network().edge(EdgeId(4)).length;
         let out = d.apply(&UpdateBatch::new(vec![Update::SetEdgeWeight {
             edge: EdgeId(4),
             weight: w * 5.0,
         }]));
-        assert_eq!(out.invalidated, 0, "blast radius excludes both objects");
+        assert_eq!(out.invalidated, 2);
+        assert_eq!((out.full, out.incremental), (1, 0));
+        assert_matches_brute(&d, q);
+    }
+
+    #[test]
+    fn clamped_rewrite_re_resolves_nothing() {
+        // Edge 0 carries the query point and sits at its free-flow floor:
+        // a lower weight clamps back to it, so nothing changes.
+        let (mut d, q) = line_engine();
+        let w = d.engine().network().edge(EdgeId(0)).length;
+        let out = d.apply(&UpdateBatch::new(vec![Update::SetEdgeWeight {
+            edge: EdgeId(0),
+            weight: w * 0.5,
+        }]));
+        assert_eq!(out.invalidated, 0);
         assert_eq!(out.expansions, 0);
-        let scratch = d.scratch_engine();
-        let r = scratch.run(Algorithm::Brute, d.query_points(q));
-        assert_eq!(canonical(&d.skyline(q)), canonical(&r.skyline));
+        assert_eq!(d.engine().network().edge(EdgeId(0)).length, w);
+        assert_matches_brute(&d, q);
+    }
+
+    #[test]
+    fn malformed_batch_panics_before_mutating() {
+        let (mut d, q) = line_engine();
+        let w = d.engine().network().edge(EdgeId(1)).length;
+        let live = d.live_objects();
+        let batch = UpdateBatch::new(vec![
+            Update::SetEdgeWeight {
+                edge: EdgeId(1),
+                weight: w * 3.0,
+            },
+            Update::DeleteObject {
+                object: ObjectId(0),
+            },
+            Update::DeleteObject {
+                object: ObjectId(0),
+            },
+        ]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.apply(&batch)));
+        assert!(caught.is_err(), "a double delete must panic");
+        assert_eq!(d.engine().network().edge(EdgeId(1)).length, w);
+        assert_eq!(d.live_objects(), live);
+        assert_matches_brute(&d, q);
     }
 
     #[test]

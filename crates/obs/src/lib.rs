@@ -121,15 +121,15 @@ pub enum Metric {
     /// inserts/deletes) applied to the substrate (DESIGN.md §15).
     DynUpdatesApplied,
     /// Dynamic layer: live `(query, object)` rows a batch re-resolved
-    /// through A\* (blast-radius test failed, object on a touched edge,
-    /// freshly inserted, or the query's own point moved).
+    /// through A\* (every live row when the batch changed some edge's
+    /// weight, else the freshly inserted ones).
     DynCandidatesInvalidated,
     /// Dynamic layer: per batch, registered queries that re-resolved
     /// some, but not all, of their live rows.
     DynRecomputeIncremental,
     /// Dynamic layer: per batch, registered queries that re-resolved
-    /// every live row (the query's own point moved, or no certificate
-    /// kept a row clean).
+    /// every live row (every query, when the batch changed some edge's
+    /// weight).
     DynRecomputeFull,
     /// Dynamic layer: lower-bound oracle rebuilds forced by weight
     /// decreases under the rebuild policy.

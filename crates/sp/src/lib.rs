@@ -18,9 +18,9 @@
 //!   advance the cheapest frontier one step at a time and stop the moment a
 //!   candidate is provably dominated;
 //! * **lower-bound oracles** ([`oracle`]) — a pluggable [`oracle::LowerBound`]
-//!   seam feeding the skyline pruning rules and the dynamic certificates
-//!   (A\* keys its heap by the Euclidean distance): the zero-cost
-//!   Euclidean bound (default) and ALT landmark triangle bounds;
+//!   seam feeding the skyline pruning rules (A\* keys its heap by the
+//!   Euclidean distance): the zero-cost Euclidean bound (default) and ALT
+//!   landmark triangle bounds;
 //! * **reference oracles** ([`apsp_oracle`]) — Floyd–Warshall all-pairs and
 //!   position-to-position distances — used only by the test suites.
 //!

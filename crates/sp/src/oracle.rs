@@ -14,16 +14,17 @@
 //!   landmark stored node-major, triangle bound `max_l |d(l,u) − d(l,v)|`.
 //!
 //! A\* does not read this seam: its heap keys are Euclidean distances
-//! computed inline (`crate::astar`). The two methods serve the pruning
-//! rules and the dynamic layer:
+//! computed inline (`crate::astar`), and `DynamicEngine` resolves every
+//! maintained row through that A\*. The two methods:
 //!
 //! * [`LowerBound::pair_bound`] prunes EDC windows and closures and
 //!   raises LBC candidate seeds;
-//! * [`LowerBound::node_bound`] feeds `DynamicEngine`'s blast-radius
-//!   certificates, which need it admissible.
+//! * [`LowerBound::node_bound`] has no engine caller; msqbench's
+//!   `sp.lb_eval_ns` probe times it, and the admissibility and
+//!   consistency tests check it.
 //!
 //! ALT's node bound is also consistent (DESIGN.md §14 has the argument),
-//! but no engine relies on that now.
+//! but no engine relies on that.
 //!
 //! The ALT tables are `O(k·|V|)` lower-bound indexes, not the
 //! `Θ(|V|²)` exact structure the paper's Theorem 1 optimality class
@@ -127,8 +128,8 @@ impl LbTarget {
 /// The pluggable lower-bound seam.
 ///
 /// Implementations must be admissible everywhere (`bound ≤ d_N`): the
-/// pruning rules and the dynamic certificates discard work on the
-/// strength of a bound, so an inadmissible one would change answers.
+/// pruning rules discard work on the strength of a bound, so an
+/// inadmissible one would change answers.
 /// Admissibility is proptested against the brute APSP oracle
 /// (`tests/oracle_bounds.rs`), which also checks that ALT's node bound
 /// is consistent (`bound(u, t) ≤ w(u, v) + bound(v, t)` across every
@@ -139,8 +140,9 @@ pub trait LowerBound: Send + Sync {
     fn kind(&self) -> BoundKind;
 
     /// Admissible bound from node `n` (at planar point `p`) to the
-    /// anchored position `t`, read by `DynamicEngine`'s certificates.
-    /// Never below the Euclidean bound `p.distance(t.point)`.
+    /// anchored position `t`. No engine reads it; msqbench's
+    /// `sp.lb_eval_ns` probe times it. Never below the Euclidean bound
+    /// `p.distance(t.point)`.
     fn node_bound(&self, n: NodeId, p: Point, t: &LbTarget) -> f64;
 
     /// Admissible bound between two anchored positions, used for

@@ -214,7 +214,7 @@ mod tests {
         let v = lint(&[
             (
                 "crates/core/src/dynamic.rs",
-                "impl DynamicEngine {\n    pub fn apply(&mut self) { self.certify() }\n    fn certify(&self) { None::<u8>.unwrap(); }\n}\nimpl Helper {\n    pub fn apply_all(&self) { None::<u8>.unwrap(); }\n}\n",
+                "impl DynamicEngine {\n    pub fn apply(&mut self) { self.mutate() }\n    fn mutate(&mut self) { None::<u8>.unwrap(); }\n}\nimpl Helper {\n    pub fn apply_all(&self) { None::<u8>.unwrap(); }\n}\n",
             ),
             (
                 "crates/graph/src/io.rs",

@@ -278,8 +278,8 @@ fn panic_path_reaches_dynamic_updates_and_network_input() {
     let targets = [
         (
             "crates/core/src/dynamic.rs",
-            "    fn certify(",
-            "public entry `DynamicEngine::apply` (DynamicEngine::apply -> DynamicEngine::certify)",
+            "    fn mutate(",
+            "public entry `DynamicEngine::apply` (DynamicEngine::apply -> DynamicEngine::mutate)",
         ),
         (
             "crates/graph/src/io.rs",

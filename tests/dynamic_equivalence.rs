@@ -35,11 +35,12 @@ fn dyn_canon(points: &[SkylinePoint]) -> Vec<(u32, Vec<u64>)> {
 /// The two bounds of DESIGN.md §14, small enough for test nets.
 const SPECS: [BoundSpec; 2] = [BoundSpec::Euclid, BoundSpec::Alt { landmarks: 4 }];
 
-/// An exact ALT bound can round the certificate's `through` sum an ulp
-/// above the maintained distance of a path that crosses the changed
-/// edge. On these seeds, certificates compared without the rounding
-/// tolerance of DESIGN.md §15.2 kept such rows and the maintained skyline
-/// diverged from scratch (seed 47 already in round 0: 14 vs 12 objects).
+/// ALT churn regression: three rounds of churn per seed under the ALT
+/// bound, each checked against scratch `Brute`. On these seeds the
+/// retired blast-radius certificates of DESIGN.md §15.2, compared without
+/// their rounding slack, kept rows whose distance had moved, and the
+/// maintained skyline diverged from scratch (seed 47 already in round 0:
+/// 14 vs 12 objects).
 #[test]
 fn alt_certificates_stay_sound_under_rounding() {
     for seed in [47u64, 6, 19] {

@@ -109,8 +109,8 @@ fn lbc_matches_golden_trace() {
 /// fixed fixture, maintained incrementally. The exported counters pin
 /// down the whole maintenance path — updates applied, rows re-resolved,
 /// queries that re-resolved some vs every row, and the A* expansions of
-/// registration and repair — so any drift in the blast-radius
-/// certificates or the resolver shows up as a snapshot diff.
+/// registration and repair — so any drift in the maintenance rule or
+/// the resolver shows up as a snapshot diff.
 #[test]
 fn dynamic_maintenance_matches_golden_trace() {
     let (engine, queries) = fixture();

@@ -4,8 +4,8 @@
 //! brute-force APSP truth:
 //!
 //! * **admissibility** — the bound never exceeds the true network
-//!   distance, for node-to-position bounds (`node_bound`, which the
-//!   dynamic certificates read) and position-to-position bounds
+//!   distance, for node-to-position bounds (`node_bound`, which
+//!   msqbench's `sp.lb_eval_ns` probe times) and position-to-position bounds
 //!   (`pair_bound`, which the pruning rules read). Every `LowerBound`
 //!   must be admissible;
 //! * **consistency** — `node_bound(u, t) <= w(u, v) + node_bound(v, t)`
