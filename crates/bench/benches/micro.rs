@@ -109,7 +109,41 @@ fn bench_shortest_paths(c: &mut Criterion) {
             black_box(a.distance_to(queries[j]))
         })
     });
+
+    // LBC's shape (DESIGN §11.8): one engine on a reused settled table,
+    // retargeted from candidate to candidate with one step and one bound
+    // per visit. The three targets lie beyond the settled region, so every
+    // retarget re-keys the live frontier; setup (untimed) builds the
+    // engine and advances it a fixed number of steps.
+    let (src, far) = (queries[0], [queries[5], queries[10], queries[15]]);
+    c.bench_function("sp/astar_retarget_ca", |b| {
+        b.iter_batched(
+            || {
+                let mut a = AStar::new(&ctx, src);
+                a.set_target(far[0]);
+                for _ in 0..RETARGET_WARM_STEPS {
+                    a.advance();
+                }
+                a
+            },
+            |mut a| {
+                let mut plb = 0.0;
+                for &t in far.iter().cycle().take(RETARGET_VISITS) {
+                    a.set_target(t);
+                    a.advance();
+                    plb += a.plb();
+                }
+                plb
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
+
+/// Steps `sp/astar_retarget_ca` advances its engine before timing.
+const RETARGET_WARM_STEPS: usize = 400;
+/// Visits per timed `sp/astar_retarget_ca` iteration.
+const RETARGET_VISITS: usize = 12;
 
 fn bench_skyline(c: &mut Criterion) {
     let rows: Vec<Vec<f64>> = (0..2000)
