@@ -1,11 +1,11 @@
 //! Observability benchmark (ISSUE 3): per-phase counter breakdowns of
 //! CE, EDC and LBC on the standard workload, emitting `BENCH_3.json`.
 //!
-//! Every query carries a [`msq_core::QueryTrace`] — a fixed bank of the
-//! nineteen registered counters (see `crates/obs`). This bench runs the
-//! paper's three algorithms cold over the standard CA-like setting,
-//! merges the per-seed traces in seed order, and reports the phase
-//! structure the paper's figures discuss:
+//! Every query carries a [`msq_core::QueryTrace`] — a fixed bank of all
+//! [`Metric::COUNT`] registered counters (see `crates/obs`). This bench
+//! runs the paper's three algorithms cold over the standard CA-like
+//! setting, merges the per-seed traces in seed order, and reports the
+//! phase structure the paper's figures discuss:
 //!
 //! * **CE** — filter-phase vs refinement-phase distance computations
 //!   (the §4.1 two-phase split behind Fig. 4's candidate ratio).

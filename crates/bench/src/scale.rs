@@ -1,14 +1,12 @@
 //! Continental-scale storage benchmark (ISSUE 9), emitting `BENCH_9.json`.
 //!
-//! Three measurements back the sharded-pool / readahead / stream-build
-//! claims of DESIGN.md §16:
+//! Three measurements back the sharded-pool / stream-build claims of
+//! DESIGN.md §16:
 //!
 //! 1. **CA sweep** — one deterministic single-worker batch per
-//!    `(pool size, shard count, readahead depth)` cell, all through one
-//!    shared pool of that shape. With readahead off the demand-fault
-//!    counts are deterministic and pinned by the bench gate; with it on,
-//!    the prefetch counters show how many demand faults the Hilbert-run
-//!    staging absorbed. Skylines are digest-checked identical across
+//!    `(pool size, shard count)` cell, all through one shared pool of
+//!    that shape. The demand-fault counts are deterministic and pinned
+//!    by the bench gate. Skylines are digest-checked identical across
 //!    every cell.
 //! 2. **Multi-session** — the same batch at 1/2/8 workers, private cold
 //!    sessions (the deterministic paper mode) vs one shared sharded pool
@@ -38,22 +36,18 @@ use std::time::Instant;
 pub const POOL_KB: [usize; 2] = [64, 1024];
 /// Shard counts swept.
 pub const SHARD_COUNTS: [usize; 2] = [1, 4];
-/// Readahead depths swept.
-pub const READAHEAD_DEPTHS: [usize; 2] = [0, 4];
 /// Worker counts for the multi-session comparison.
 pub const SESSION_WORKERS: [usize; 3] = [1, 2, 8];
 
 /// One CA-sweep cell: a single-worker batch through one pool shape.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
-    /// Stable selector id, e.g. `p64-s4-r0`.
+    /// Stable selector id, e.g. `p64-s4`.
     pub id: String,
     /// Pool size in KB.
     pub pool_kb: usize,
     /// Shard count.
     pub shards: usize,
-    /// Readahead depth.
-    pub readahead: usize,
     /// Aggregate I/O of the batch through this pool.
     pub io: IoSnapshot,
     /// Wall-clock, milliseconds (host-dependent, never gated).
@@ -63,7 +57,7 @@ pub struct SweepCell {
 /// One multi-session cell: private cold sessions vs a shared pool.
 #[derive(Clone, Debug)]
 pub struct SessionCell {
-    /// Stable selector id, e.g. `shared-r4-w2`.
+    /// Stable selector id, e.g. `shared-w2`.
     pub id: String,
     /// `"private"` or `"shared"`.
     pub mode: &'static str,
@@ -71,8 +65,6 @@ pub struct SessionCell {
     pub workers: usize,
     /// Shard count (1 for private mode — each session is its own pool).
     pub shards: usize,
-    /// Readahead depth.
-    pub readahead: usize,
     /// More workers than host cores: the wall cell is not a scaling
     /// signal on this host.
     pub oversubscribed: bool,
@@ -85,12 +77,10 @@ pub struct SessionCell {
 /// One continental query cell: a Dijkstra sweep through one pool shape.
 #[derive(Clone, Debug)]
 pub struct ScaleQueryCell {
-    /// Stable selector id, e.g. `s4-r8`.
+    /// Stable selector id, e.g. `s4`.
     pub id: String,
     /// Shard count.
     pub shards: usize,
-    /// Readahead depth.
-    pub readahead: usize,
     /// Pool size in KB.
     pub pool_kb: usize,
     /// Nodes settled by the sweep.
@@ -139,30 +129,26 @@ pub fn ca_sweep(engine: &SkylineEngine, batch: &[Vec<NetPosition>]) -> (Vec<Swee
     let mut digest: Option<u64> = None;
     for &pool_kb in &POOL_KB {
         for &shards in &SHARD_COUNTS {
-            for &readahead in &READAHEAD_DEPTHS {
-                let config = PoolConfig {
-                    buffer_bytes: pool_kb * 1024,
-                    shards,
-                    readahead,
-                };
-                let out = be.run_shared(Algorithm::Lbc, batch, config);
-                let d = skyline_digest(&out.results);
-                match digest {
-                    None => digest = Some(d),
-                    Some(want) => assert_eq!(
-                        d, want,
-                        "pool shape p{pool_kb}-s{shards}-r{readahead} changed a skyline bit"
-                    ),
-                }
-                cells.push(SweepCell {
-                    id: format!("p{pool_kb}-s{shards}-r{readahead}"),
-                    pool_kb,
-                    shards,
-                    readahead,
-                    io: out.io,
-                    wall_ms: out.wall.as_secs_f64() * 1e3,
-                });
+            let config = PoolConfig {
+                buffer_bytes: pool_kb * 1024,
+                shards,
+            };
+            let out = be.run_shared(Algorithm::Lbc, batch, config);
+            let d = skyline_digest(&out.results);
+            match digest {
+                None => digest = Some(d),
+                Some(want) => assert_eq!(
+                    d, want,
+                    "pool shape p{pool_kb}-s{shards} changed a skyline bit"
+                ),
             }
+            cells.push(SweepCell {
+                id: format!("p{pool_kb}-s{shards}"),
+                pool_kb,
+                shards,
+                io: out.io,
+                wall_ms: out.wall.as_secs_f64() * 1e3,
+            });
         }
     }
     (cells, digest.expect("sweep is non-empty"))
@@ -179,10 +165,9 @@ pub fn multi_session(
     want_digest: u64,
     host_cores: usize,
 ) -> Vec<SessionCell> {
-    let shared = |readahead: usize| PoolConfig {
+    let shared = PoolConfig {
         buffer_bytes: 1 << 20,
         shards: 4,
-        readahead,
     };
     let mut cells = Vec::new();
     for &w in &SESSION_WORKERS {
@@ -198,29 +183,25 @@ pub fn multi_session(
             mode: "private",
             workers: w,
             shards: 1,
-            readahead: 0,
             oversubscribed: w > host_cores,
             io: private.io,
             wall_ms: private.wall.as_secs_f64() * 1e3,
         });
-        for readahead in [0usize, 4] {
-            let out = be.run_shared(Algorithm::Lbc, batch, shared(readahead));
-            assert_eq!(
-                skyline_digest(&out.results),
-                want_digest,
-                "shared pool (r{readahead}) at {w} workers changed a skyline bit"
-            );
-            cells.push(SessionCell {
-                id: format!("shared-r{readahead}-w{w}"),
-                mode: "shared",
-                workers: w,
-                shards: 4,
-                readahead,
-                oversubscribed: w > host_cores,
-                io: out.io,
-                wall_ms: out.wall.as_secs_f64() * 1e3,
-            });
-        }
+        let out = be.run_shared(Algorithm::Lbc, batch, shared);
+        assert_eq!(
+            skyline_digest(&out.results),
+            want_digest,
+            "shared pool at {w} workers changed a skyline bit"
+        );
+        cells.push(SessionCell {
+            id: format!("shared-w{w}"),
+            mode: "shared",
+            workers: w,
+            shards: shared.shards,
+            oversubscribed: w > host_cores,
+            io: out.io,
+            wall_ms: out.wall.as_secs_f64() * 1e3,
+        });
     }
     cells
 }
@@ -287,11 +268,10 @@ pub fn continental_run(
     let sources = [NodeId(0), NodeId(n / 3), NodeId(2 * n / 3), NodeId(n - 1)];
     let mut cells = Vec::new();
     let mut digest: Option<(usize, u64)> = None;
-    for (shards, readahead) in [(1usize, 0usize), (4, 0), (4, 8)] {
+    for &shards in &SHARD_COUNTS {
         let session = store.session_with_config(PoolConfig {
             buffer_bytes: pool_kb * 1024,
             shards,
-            readahead,
         });
         let t = Instant::now();
         let (settled, d) = multi_source_sweep(&session, &sources, cap);
@@ -301,13 +281,12 @@ pub fn continental_run(
             Some(want) => assert_eq!(
                 (settled, d),
                 want,
-                "pool shape s{shards}-r{readahead} changed a distance bit"
+                "pool shape s{shards} changed a distance bit"
             ),
         }
         cells.push(ScaleQueryCell {
-            id: format!("s{shards}-r{readahead}"),
+            id: format!("s{shards}"),
             shards,
-            readahead,
             pool_kb,
             settled,
             digest: d,
@@ -344,30 +323,17 @@ pub fn scale_report() {
         &format!(
             "S1  CA demand faults by pool shape (LBC, {nsets} query sets, 1 worker, shared pool)"
         ),
-        &[
-            "pool_kb",
-            "shards",
-            "readahead",
-            "faults",
-            "pf_hits",
-            "pf_waste",
-        ],
+        &["pool_kb", "shards", "faults"],
     );
     for c in &sweep_cells {
         println!(
-            "{:>12} | {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            c.id,
-            c.pool_kb,
-            c.shards,
-            c.readahead,
-            c.io.faults,
-            c.io.prefetch_hits,
-            c.io.prefetch_wasted
+            "{:>12} | {:>12} {:>12} {:>12}",
+            c.id, c.pool_kb, c.shards, c.io.faults
         );
     }
     print_header(
         "S2  multi-session demand faults, private cold sessions vs shared sharded pool",
-        &["workers", "faults", "pf_hits", "wall_ms"],
+        &["workers", "faults", "wall_ms"],
     );
     for c in &session_cells {
         let wall = if c.oversubscribed {
@@ -376,8 +342,8 @@ pub fn scale_report() {
             format!("{:.2}", c.wall_ms)
         };
         println!(
-            "{:>12} | {:>12} {:>12} {:>12} {:>12}",
-            c.id, c.workers, c.io.faults, c.io.prefetch_hits, wall
+            "{:>12} | {:>12} {:>12} {:>12}",
+            c.id, c.workers, c.io.faults, wall
         );
     }
     print_header(
@@ -389,12 +355,12 @@ pub fn scale_report() {
             report.peak_staging_bytes,
             budget_label(report.budget_bytes)
         ),
-        &["settled", "faults", "pf_hits", "wall_ms"],
+        &["settled", "faults", "wall_ms"],
     );
     for c in &query_cells {
         println!(
-            "{:>12} | {:>12} {:>12} {:>12} {:>12.2}",
-            c.id, c.settled, c.io.faults, c.io.prefetch_hits, c.wall_ms
+            "{:>12} | {:>12} {:>12} {:>12.2}",
+            c.id, c.settled, c.io.faults, c.wall_ms
         );
     }
 
@@ -435,8 +401,8 @@ pub fn scale_smoke() {
     );
     for c in &cells {
         println!(
-            "scale-smoke: {} settled={} faults={} prefetch_hits={} digest={:#018x}",
-            c.id, c.settled, c.io.faults, c.io.prefetch_hits, c.digest
+            "scale-smoke: {} settled={} faults={} digest={:#018x}",
+            c.id, c.settled, c.io.faults, c.digest
         );
     }
     println!("scale-smoke: ok");
@@ -455,15 +421,8 @@ fn render_json(
 ) -> String {
     let io = |s: &IoSnapshot| {
         format!(
-            "\"logical\": {}, \"demand_faults\": {}, \"cold_faults\": {}, \"warm_faults\": {}, \
-             \"prefetch_issued\": {}, \"prefetch_hits\": {}, \"prefetch_wasted\": {}",
-            s.logical,
-            s.faults,
-            s.cold_faults,
-            s.warm_faults,
-            s.prefetch_issued,
-            s.prefetch_hits,
-            s.prefetch_wasted
+            "\"logical\": {}, \"demand_faults\": {}, \"cold_faults\": {}, \"warm_faults\": {}",
+            s.logical, s.faults, s.cold_faults, s.warm_faults
         )
     };
     let mut out = String::from("{\n");
@@ -473,16 +432,15 @@ fn render_json(
     out.push_str(&format!("  \"io_ms\": {},\n", io_ms()));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(
-        "  \"note\": \"ca_sweep cells are single-worker batches through one shared pool per shape: with readahead off their demand_faults are deterministic (gated, tolerance 0); multi_session shared cells are measured aggregates whose per-query split depends on scheduling; wall_ms is host wall-clock and never gated; every cell's skylines / distances are digest-checked bitwise identical before this file is written\",\n",
+        "  \"note\": \"ca_sweep cells are single-worker batches through one shared pool per shape: their demand_faults are deterministic (gated, tolerance 0); multi_session shared cells are measured aggregates whose per-query split depends on scheduling; wall_ms is host wall-clock and never gated; every cell's skylines / distances are digest-checked bitwise identical before this file is written\",\n",
     );
     out.push_str("  \"ca_sweep\": [\n");
     for (i, c) in sweep.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"pool_kb\": {}, \"shards\": {}, \"readahead\": {}, \"workers\": 1, {}, \"wall_ms\": {:.3}}}{}\n",
+            "    {{\"id\": \"{}\", \"pool_kb\": {}, \"shards\": {}, \"workers\": 1, {}, \"wall_ms\": {:.3}}}{}\n",
             c.id,
             c.pool_kb,
             c.shards,
-            c.readahead,
             io(&c.io),
             c.wall_ms,
             if i + 1 < sweep.len() { "," } else { "" }
@@ -492,12 +450,11 @@ fn render_json(
     out.push_str("  \"multi_session\": [\n");
     for (i, c) in sessions.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"shards\": {}, \"readahead\": {}, \"oversubscribed\": {}, {}, \"wall_ms\": {:.3}}}{}\n",
+            "    {{\"id\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"shards\": {}, \"oversubscribed\": {}, {}, \"wall_ms\": {:.3}}}{}\n",
             c.id,
             c.mode,
             c.workers,
             c.shards,
-            c.readahead,
             c.oversubscribed,
             io(&c.io),
             c.wall_ms,
@@ -528,10 +485,9 @@ fn render_json(
     out.push_str("    \"queries\": [\n");
     for (i, c) in queries.iter().enumerate() {
         out.push_str(&format!(
-            "      {{\"id\": \"{}\", \"shards\": {}, \"readahead\": {}, \"pool_kb\": {}, \"settled\": {}, \"digest\": \"{:#018x}\", {}, \"wall_ms\": {:.3}}}{}\n",
+            "      {{\"id\": \"{}\", \"shards\": {}, \"pool_kb\": {}, \"settled\": {}, \"digest\": \"{:#018x}\", {}, \"wall_ms\": {:.3}}}{}\n",
             c.id,
             c.shards,
-            c.readahead,
             c.pool_kb,
             c.settled,
             c.digest,
@@ -552,7 +508,7 @@ mod tests {
     #[test]
     fn sweep_digest_is_storage_shape_invariant() {
         // A small streamed grid: the Dijkstra digest must not depend on
-        // pool size, shard count or readahead depth.
+        // pool size or shard count.
         let cfg = StreamNetConfig {
             chunk_nodes: 200,
             budget_bytes: None,
@@ -561,11 +517,10 @@ mod tests {
         let (store, _) = stream_build(&cfg, PoolConfig::default()).expect("unbudgeted build");
         let sources = [NodeId(0), NodeId(431)];
         let mut want: Option<(usize, u64)> = None;
-        for (bytes, shards, ra) in [(1 << 14, 1, 0), (1 << 20, 4, 0), (1 << 14, 4, 8)] {
+        for (bytes, shards) in [(1 << 14, 1), (1 << 20, 4), (1 << 14, 4)] {
             let session = store.session_with_config(PoolConfig {
                 buffer_bytes: bytes,
                 shards,
-                readahead: ra,
             });
             let got = multi_source_sweep(&session, &sources, usize::MAX);
             assert_eq!(got.0, store.node_count(), "grid is connected");
@@ -595,7 +550,6 @@ mod tests {
             PoolConfig {
                 buffer_bytes: 1 << 20,
                 shards: 4,
-                readahead: 0,
             },
         );
         assert_eq!(
@@ -618,10 +572,9 @@ mod tests {
             ..IoSnapshot::default()
         };
         let sweep = vec![SweepCell {
-            id: "p64-s1-r0".into(),
+            id: "p64-s1".into(),
             pool_kb: 64,
             shards: 1,
-            readahead: 0,
             io,
             wall_ms: 1.0,
         }];
@@ -630,7 +583,6 @@ mod tests {
             mode: "private",
             workers: 1,
             shards: 1,
-            readahead: 0,
             oversubscribed: false,
             io,
             wall_ms: 1.0,
@@ -645,9 +597,8 @@ mod tests {
             budget_bytes: Some(8192),
         };
         let queries = vec![ScaleQueryCell {
-            id: "s1-r0".into(),
+            id: "s1".into(),
             shards: 1,
-            readahead: 0,
             pool_kb: 1024,
             settled: 4,
             digest: 7,
@@ -657,7 +608,7 @@ mod tests {
         let j = render_json(&sweep, &sessions, &report, 12.0, &queries, 8, 1);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"id\": \"p64-s1-r0\""));
+        assert!(j.contains("\"id\": \"p64-s1\""));
         assert!(j.contains("\"demand_faults\": 4"));
         assert!(j.contains("\"budget_bytes\": 8192"));
     }

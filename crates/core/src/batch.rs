@@ -189,8 +189,5 @@ fn io_from_trace(trace: &QueryTrace) -> IoSnapshot {
         injected_errors: trace.get(Metric::StorageIoInjectedErrors),
         retries: trace.get(Metric::StorageIoRetries),
         backoff_us: trace.get(Metric::StorageIoBackoffUs),
-        prefetch_issued: trace.get(Metric::StoragePrefetchIssued),
-        prefetch_hits: trace.get(Metric::StoragePrefetchHits),
-        prefetch_wasted: trace.get(Metric::StoragePrefetchWasted),
     }
 }

@@ -292,10 +292,10 @@ impl SkylineEngine {
         Self::with_pool_config(net, objects, PoolConfig::default())
     }
 
-    /// Builds an engine with an explicit buffer-pool shape (size, shard
-    /// count, readahead depth). Sessions derived for batch workers
-    /// inherit the shape, so a sharded/readahead configuration applies
-    /// to every worker's private pool.
+    /// Builds an engine with an explicit buffer-pool shape (size and
+    /// shard count). Sessions derived for batch workers inherit the
+    /// shape, so a sharded configuration applies to every worker's
+    /// private pool.
     pub fn with_pool_config(net: RoadNetwork, objects: Vec<NetPosition>, pool: PoolConfig) -> Self {
         let mid = MiddleLayer::build(&net, &objects);
         Self::from_parts(net, mid, pool)
@@ -608,9 +608,6 @@ fn finish_trace(
     trace.add(Metric::StorageIoInjectedErrors, io.injected_errors);
     trace.add(Metric::StorageIoRetries, io.retries);
     trace.add(Metric::StorageIoBackoffUs, io.backoff_us);
-    trace.add(Metric::StoragePrefetchIssued, io.prefetch_issued);
-    trace.add(Metric::StoragePrefetchHits, io.prefetch_hits);
-    trace.add(Metric::StoragePrefetchWasted, io.prefetch_wasted);
     if let Some(p) = &out.partial {
         trace.incr(Metric::QueryIncomplete);
         trace.add(Metric::QueryUnresolvedCandidates, p.unresolved.len() as u64);

@@ -134,17 +134,6 @@ pub enum Metric {
     /// Dynamic layer: lower-bound oracle rebuilds forced by weight
     /// decreases under the rebuild policy.
     DynOracleRebuilds,
-    /// Storage: pages staged speculatively by Hilbert-run readahead.
-    /// Metered apart from the demand-fault counters so the paper's
-    /// page-fault series is bitwise unchanged whether readahead is on
-    /// or off (DESIGN.md §16); zero whenever readahead is disabled.
-    StoragePrefetchIssued,
-    /// Storage: demand requests served by a readahead-staged frame —
-    /// the faults prefetching actually saved.
-    StoragePrefetchHits,
-    /// Storage: prefetched frames evicted (or dropped by a pool clear)
-    /// before any demand touch — readahead's wasted speculative reads.
-    StoragePrefetchWasted,
 }
 
 /// String table for [`Metric`], indexed by discriminant.
@@ -188,15 +177,12 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
     "dyn.recompute.incremental",
     "dyn.recompute.full",
     "dyn.oracle.rebuilds",
-    "storage.prefetch.issued",
-    "storage.prefetch.hits",
-    "storage.prefetch.wasted",
     // metric-names:end
 ];
 
 impl Metric {
     /// Number of registered metrics.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 34;
 
     /// Every metric, in export order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -234,9 +220,6 @@ impl Metric {
         Metric::DynRecomputeIncremental,
         Metric::DynRecomputeFull,
         Metric::DynOracleRebuilds,
-        Metric::StoragePrefetchIssued,
-        Metric::StoragePrefetchHits,
-        Metric::StoragePrefetchWasted,
     ];
 
     /// The registered dotted name of this metric.

@@ -23,11 +23,6 @@ struct Frame {
     data: Bytes,
     prev: usize,
     next: usize,
-    /// `true` while the frame holds a readahead-staged page no demand
-    /// request has touched yet. Cleared on the first demand hit (which
-    /// counts as a prefetch hit); still set at eviction means the
-    /// speculative read was wasted.
-    prefetched: bool,
 }
 
 /// LRU page cache with a fixed number of frames.
@@ -48,16 +43,14 @@ pub struct BufferPool {
     tail: usize,
     capacity: usize,
     stats: IoStats,
-    /// Every page this pool has ever *demand*-touched, for cold/warm
-    /// fault attribution: a miss on a never-seen page is compulsory
+    /// Every page this pool has ever touched, for cold/warm fault
+    /// attribution: a miss on a never-seen page is compulsory
     /// (cold), a miss on a seen page is a re-fault of an evicted page
     /// (warm). A dense bitset keyed by page index — page ids are small
     /// dense integers, so this is one bit per page instead of a
     /// hash-set entry per touched page (the old `HashSet<PageId>` cost
     /// ~48 bytes/page at 1M-node scale). Cleared together with the
     /// cache so a `clear()`ed pool attributes like a fresh one.
-    /// Readahead staging does not mark pages seen: attribution follows
-    /// demand touches only, so it is identical with readahead on or off.
     seen: PageBitSet,
     /// Deterministic fault schedule applied to disk reads on misses;
     /// `None` injects nothing (the default).
@@ -127,26 +120,10 @@ impl BufferPool {
     /// attempts, not the fault attribution — a faulted page retried
     /// three times is still one cold (or warm) fault.
     pub fn get(&mut self, disk: &Disk, page: PageId) -> Bytes {
-        self.get_classified(disk, page).0
-    }
-
-    /// [`BufferPool::get`] that also reports whether the request was a
-    /// demand miss — the signal [`crate::ShardedPool`] uses to trigger
-    /// Hilbert-run readahead.
-    pub fn get_classified(&mut self, disk: &Disk, page: PageId) -> (Bytes, bool) {
         if let Some(&fi) = self.map.get(&page) {
             self.stats.record_hit();
-            if self.frames[fi].prefetched {
-                // First demand touch of a readahead-staged page: the
-                // speculative read paid off. Only now does the page
-                // enter the first-touch history — attribution follows
-                // demand accesses, never the prefetcher.
-                self.frames[fi].prefetched = false;
-                self.seen.insert(page.idx());
-                self.stats.record_prefetch_hit();
-            }
             self.touch(fi);
-            return (self.frames[fi].data.clone(), false);
+            return self.frames[fi].data.clone();
         }
         if self.seen.insert(page.idx()) {
             self.stats.record_fault_cold();
@@ -154,28 +131,8 @@ impl BufferPool {
             self.stats.record_fault_warm();
         }
         let data = self.read_with_retries(disk, page);
-        self.insert(page, data.clone(), false);
-        (data, true)
-    }
-
-    /// Stages `page` speculatively (readahead): if it is not already
-    /// cached, reads it from `disk` and inserts it at the MRU position
-    /// flagged as prefetched. Returns `true` when a read was issued.
-    ///
-    /// Staging is invisible to demand accounting: it never touches
-    /// `logical`/`faults`/cold/warm or the first-touch history, and it
-    /// bypasses the fault plan (the plan models demand-read errors; a
-    /// failed speculative read would simply be dropped, which is
-    /// indistinguishable from not prefetching). Already-cached pages are
-    /// left untouched — no recency update, no counter.
-    pub fn stage(&mut self, disk: &Disk, page: PageId) -> bool {
-        if self.map.contains_key(&page) {
-            return false;
-        }
-        self.stats.record_prefetch_issued();
-        let data = disk.read(page);
-        self.insert(page, data, true);
-        true
+        self.insert(page, data.clone());
+        data
     }
 
     /// One disk read under the fault plan: replay the per-attempt error
@@ -196,17 +153,10 @@ impl BufferPool {
         disk.read(page)
     }
 
-    /// Drops every cached page (the counters are left untouched, except
-    /// that still-unread prefetched frames are tallied as wasted — the
-    /// speculative read can no longer pay off). The cold/warm
-    /// attribution history is dropped too, so a cleared pool classifies
-    /// faults exactly like a freshly built one.
+    /// Drops every cached page (the counters are left untouched). The
+    /// cold/warm attribution history is dropped too, so a cleared pool
+    /// classifies faults exactly like a freshly built one.
     pub fn clear(&mut self) {
-        for f in &self.frames {
-            if f.prefetched {
-                self.stats.record_prefetch_wasted();
-            }
-        }
         self.frames.clear();
         self.map.clear();
         self.head = NIL;
@@ -255,7 +205,7 @@ impl BufferPool {
         }
     }
 
-    fn insert(&mut self, page: PageId, data: Bytes, prefetched: bool) {
+    fn insert(&mut self, page: PageId, data: Bytes) {
         let fi = if self.frames.len() < self.capacity {
             // Grow the arena.
             self.frames.push(Frame {
@@ -263,7 +213,6 @@ impl BufferPool {
                 data,
                 prev: NIL,
                 next: NIL,
-                prefetched,
             });
             self.frames.len() - 1
         } else {
@@ -271,14 +220,10 @@ impl BufferPool {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "capacity > 0 but no tail");
             self.unlink(victim);
-            if self.frames[victim].prefetched {
-                self.stats.record_prefetch_wasted();
-            }
             let old = self.frames[victim].page;
             self.map.remove(&old);
             self.frames[victim].page = page;
             self.frames[victim].data = data;
-            self.frames[victim].prefetched = prefetched;
             victim
         };
         self.map.insert(page, fi);
@@ -534,98 +479,6 @@ mod tests {
             stats.snapshot()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn stage_serves_the_next_demand_request_without_a_fault() {
-        let d = disk_with(4);
-        let stats = IoStats::new();
-        let mut pool = BufferPool::new(2, stats.clone());
-        assert!(pool.stage(&d, PageId(1)));
-        let s = stats.snapshot();
-        assert_eq!(s.prefetch_issued, 1);
-        assert_eq!((s.logical, s.faults), (0, 0), "staging is speculative");
-        let (b, missed) = pool.get_classified(&d, PageId(1));
-        assert_eq!(b[0], 1);
-        assert!(!missed, "prefetched page must not demand-miss");
-        let s = stats.snapshot();
-        assert_eq!(s.prefetch_hits, 1);
-        assert_eq!(s.logical, 1);
-        assert_eq!(s.faults, 0);
-        // Second demand hit of the same frame is a plain hit.
-        pool.get(&d, PageId(1));
-        assert_eq!(stats.snapshot().prefetch_hits, 1);
-    }
-
-    #[test]
-    fn stage_of_a_cached_page_is_a_no_op() {
-        let d = disk_with(2);
-        let stats = IoStats::new();
-        let mut pool = BufferPool::new(2, stats.clone());
-        pool.get(&d, PageId(0));
-        assert!(!pool.stage(&d, PageId(0)));
-        assert_eq!(stats.snapshot().prefetch_issued, 0);
-    }
-
-    #[test]
-    fn untouched_prefetched_frames_count_as_wasted() {
-        let d = disk_with(8);
-        let stats = IoStats::new();
-        let mut pool = BufferPool::new(2, stats.clone());
-        pool.stage(&d, PageId(0));
-        pool.stage(&d, PageId(1));
-        // Demand traffic evicts both staged frames untouched.
-        pool.get(&d, PageId(2));
-        pool.get(&d, PageId(3));
-        let s = stats.snapshot();
-        assert_eq!(s.prefetch_issued, 2);
-        assert_eq!(s.prefetch_wasted, 2);
-        assert_eq!(s.prefetch_hits, 0);
-        // A clear() also retires staged frames as wasted.
-        pool.stage(&d, PageId(4));
-        pool.clear();
-        assert_eq!(stats.snapshot().prefetch_wasted, 3);
-    }
-
-    #[test]
-    fn prefetch_issued_balances_hits_wasted_and_resident() {
-        let d = disk_with(16);
-        let stats = IoStats::new();
-        let mut pool = BufferPool::new(4, stats.clone());
-        for i in 0..200u32 {
-            let p = PageId((i * 7 + i / 3) % 16);
-            pool.get(&d, p);
-            pool.stage(&d, PageId((p.0 + 1) % 16));
-        }
-        pool.clear(); // retire any still-resident staged frames
-        let s = stats.snapshot();
-        assert!(s.prefetch_issued > 0);
-        assert_eq!(s.prefetch_issued, s.prefetch_hits + s.prefetch_wasted);
-    }
-
-    #[test]
-    fn attribution_only_follows_demand_touches() {
-        // A prefetched-then-evicted page was never demand-touched, so its
-        // eventual demand miss is still compulsory (cold); a prefetched
-        // page that *was* demand-hit re-faults warm after eviction.
-        let d = disk_with(8);
-        let stats = IoStats::new();
-        let mut pool = BufferPool::new(1, stats.clone());
-        pool.stage(&d, PageId(0));
-        pool.get(&d, PageId(1)); // evicts staged 0, wasted
-        pool.get(&d, PageId(0)); // first demand touch: cold
-        let s = stats.snapshot();
-        assert_eq!(s.cold_faults, 2);
-        assert_eq!(s.warm_faults, 0);
-        assert_eq!(s.prefetch_wasted, 1);
-
-        pool.stage(&d, PageId(2));
-        pool.get(&d, PageId(2)); // prefetch hit: demand-touched now
-        pool.get(&d, PageId(3)); // evicts 2
-        pool.get(&d, PageId(2)); // re-fault of a demand-touched page: warm
-        let s = stats.snapshot();
-        assert_eq!(s.warm_faults, 1);
-        assert_eq!(s.prefetch_hits, 1);
     }
 
     /// Satellite regression (ISSUE 9): swapping the first-touch

@@ -9,8 +9,8 @@
 //! * [`page`] — fixed 4 KB pages and page ids;
 //! * [`buffer`] — an O(1) LRU buffer pool with hit/fault accounting;
 //! * [`shard`] — the buffer pool sharded by page-id hash for concurrent
-//!   sessions, with optional Hilbert-run readahead (off by default, so
-//!   the paper's configuration is reproduced bit for bit);
+//!   sessions (one shard by default, so the paper's configuration is
+//!   reproduced bit for bit);
 //! * [`netstore`] — the clustered network store: every node's adjacency
 //!   record (its coordinates plus, per incident edge, the edge id, the
 //!   opposite node, its coordinates and the edge length) serialised onto

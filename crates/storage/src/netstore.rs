@@ -226,8 +226,8 @@ impl NetworkStore {
 
     /// A private session with pool shape `config` over the same disk
     /// image. [`NetworkStore::session`] passes the store's own shape; the
-    /// scale benchmark sweeps pool size × shard count × readahead depth
-    /// this way without rebuilding the network for every cell.
+    /// scale benchmark sweeps pool size × shard count this way without
+    /// rebuilding the network for every cell.
     // lint: allow(lock-reach) — session derivation, once per worker.
     pub fn session_with_config(&self, config: PoolConfig) -> NetworkStore {
         let stats = IoStats::new();
@@ -634,7 +634,6 @@ mod tests {
         let big = store.session_with_config(crate::PoolConfig {
             buffer_bytes: DEFAULT_BUFFER_BYTES,
             shards: 4,
-            readahead: 2,
         });
         assert_eq!(tiny.page_count(), store.page_count());
         for n in g.node_ids() {
@@ -642,58 +641,50 @@ mod tests {
             assert_eq!(big.read_adjacency(n).node, n);
         }
         assert!(tiny.stats().snapshot().faults > big.stats().snapshot().faults);
-        assert!(big.stats().snapshot().prefetch_issued > 0);
         assert_eq!(store.stats().snapshot().logical, 0, "parent untouched");
     }
 
     #[test]
-    fn shard_and_readahead_leave_records_and_demand_faults_exact() {
-        // Same access sequence, every pool shape: identical bytes, and
-        // identical *demand* faults whenever readahead is off.
+    fn shard_count_leaves_records_and_demand_faults_exact() {
+        // Same access sequence, every shard count: identical bytes, and a
+        // fault count each shape replays exactly.
         let g = grid(25);
         let store = NetworkStore::build(&g);
         let base = store.session_with_config(crate::PoolConfig::with_bytes(8 * PAGE_SIZE));
         for n in g.node_ids() {
             base.read_adjacency(n);
         }
-        let mut want_faults = None;
         for shards in [1usize, 2, 8] {
-            for readahead in [0usize, 4] {
-                let sess = store.session_with_config(crate::PoolConfig {
-                    buffer_bytes: 8 * PAGE_SIZE,
-                    shards,
-                    readahead,
-                });
-                for n in g.node_ids() {
-                    let a = store.read_adjacency(n);
-                    let b = sess.read_adjacency(n);
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.entries, b.entries, "shards={shards} ra={readahead}");
-                }
-                if readahead == 0 {
-                    // Demand-miss *determinism*: re-running the same
-                    // shape replays the exact fault count.
-                    let again = store.session_with_config(sess.pool_config());
-                    for n in g.node_ids() {
-                        again.read_adjacency(n);
-                    }
-                    assert_eq!(
-                        again.stats().snapshot().faults,
-                        sess.stats().snapshot().faults,
-                        "shards={shards}"
-                    );
-                }
-                if readahead == 0 && shards == 1 {
-                    // …and the single-shard shape matches the legacy pool.
-                    want_faults = Some(sess.stats().snapshot().faults);
-                }
+            let sess = store.session_with_config(crate::PoolConfig {
+                buffer_bytes: 8 * PAGE_SIZE,
+                shards,
+            });
+            for n in g.node_ids() {
+                let a = store.read_adjacency(n);
+                let b = sess.read_adjacency(n);
+                assert_eq!(a.node, b.node);
+                assert_eq!(a.entries, b.entries, "shards={shards}");
+            }
+            // Demand-miss *determinism*: re-running the same shape
+            // replays the exact fault count.
+            let again = store.session_with_config(sess.pool_config());
+            for n in g.node_ids() {
+                again.read_adjacency(n);
+            }
+            assert_eq!(
+                again.stats().snapshot().faults,
+                sess.stats().snapshot().faults,
+                "shards={shards}"
+            );
+            if shards == 1 {
+                // …and the single-shard shape matches the paper's pool.
+                assert_eq!(
+                    sess.stats().snapshot().faults,
+                    base.stats().snapshot().faults,
+                    "shards=1 must replay the paper-shape fault count"
+                );
             }
         }
-        assert_eq!(
-            want_faults,
-            Some(base.stats().snapshot().faults),
-            "shards=1 readahead=0 must replay the paper-shape fault count"
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sharded buffer pool with optional Hilbert-run readahead.
+//! Sharded buffer pool.
 //!
 //! One global `Mutex<BufferPool>` serializes every concurrent session
 //! that shares a pool: at continental scale the lock, not the disk, is
@@ -17,15 +17,10 @@
 //!   subsequence of requests hashed to it, so a single session's demand
 //!   misses are a pure function of its access sequence — private
 //!   sessions stay worker-count-invariant exactly as before.
-//! * Readahead (`readahead > 0`) stages the next R pages of the Hilbert
-//!   run after a demand miss. Staging is metered in the separate
-//!   `storage.prefetch.*` counters and never touches demand accounting,
-//!   so the paper's fault series is bitwise unchanged when readahead is
-//!   off — and still *exact* (just smaller) when it is on.
 //!
-//! Lock discipline: no method ever holds two shard locks at once. The
-//! demand path releases its shard before staging, and each staged page
-//! takes exactly one shard lock at a time — so cross-shard deadlock is
+//! Lock discipline: no method ever holds two shard locks at once. A
+//! page request takes exactly one shard lock, and the housekeeping
+//! methods visit the shards one at a time — so cross-shard deadlock is
 //! impossible by construction. The `shard-lock` rule of `xtask lint`
 //! enforces the "one `.lock()` per function" shape statically.
 
@@ -36,10 +31,10 @@ use crate::stats::IoStats;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-/// Buffer-pool shape: size, shard count and readahead depth.
+/// Buffer-pool shape: size and shard count.
 ///
-/// The default — 1 MB, one shard, no readahead — reproduces the paper's
-/// configuration bit for bit; everything else is opt-in.
+/// The default — 1 MB, one shard — reproduces the paper's configuration
+/// bit for bit; sharding is opt-in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Total buffer size in bytes across all shards (the paper's 1 MB).
@@ -47,9 +42,6 @@ pub struct PoolConfig {
     /// Number of independent sub-pools (≥ 1). The frame budget is split
     /// evenly (rounded up, at least one frame per shard).
     pub shards: usize,
-    /// Pages of the Hilbert run staged after each demand miss; 0
-    /// disables readahead entirely.
-    pub readahead: usize,
 }
 
 impl Default for PoolConfig {
@@ -57,7 +49,6 @@ impl Default for PoolConfig {
         PoolConfig {
             buffer_bytes: DEFAULT_BUFFER_BYTES,
             shards: 1,
-            readahead: 0,
         }
     }
 }
@@ -103,7 +94,7 @@ fn mix_page(p: u32) -> u64 {
 /// many demand misses a given access sequence pays at `shards = 1`.
 pub struct ShardedPool {
     shards: Vec<Mutex<BufferPool>>,
-    config: PoolConfig,
+    frames_per_shard: usize,
     stats: IoStats,
 }
 
@@ -111,12 +102,12 @@ impl ShardedPool {
     /// Builds a pool of `config.shards` sub-pools reporting into `stats`.
     pub fn new(config: PoolConfig, stats: IoStats) -> Self {
         let shards = config.shards.max(1);
-        let per_shard = config.frames_per_shard();
+        let frames_per_shard = config.frames_per_shard();
         ShardedPool {
             shards: (0..shards)
-                .map(|_| Mutex::new(BufferPool::new(per_shard, stats.clone())))
+                .map(|_| Mutex::new(BufferPool::new(frames_per_shard, stats.clone())))
                 .collect(),
-            config,
+            frames_per_shard,
             stats,
         }
     }
@@ -131,51 +122,17 @@ impl ShardedPool {
         }
     }
 
-    /// Fetches a page through its shard; on a demand miss, stages the
-    /// next `readahead` pages of the Hilbert run (consecutive page ids —
-    /// records are laid out in Hilbert order, so page `p + 1` holds the
-    /// spatially-next records).
-    ///
-    /// The demand lock is released before any staging: staging takes one
-    /// shard lock at a time, so no execution ever holds two.
+    /// Fetches a page through its shard's [`BufferPool::get`].
     // lint: allow(lock-reach) — the per-shard lock IS the page-buffer
     // model (one uncontended lock per page request on the deterministic
     // private-session path); this is the designed per-request cost, and
     // the shard-lock rule pins the one-lock-per-fn discipline.
     pub fn get(&self, disk: &Disk, page: PageId) -> Bytes {
-        let si = self.shard_of(page);
-        let (data, missed) = self.shards[si].lock().get_classified(disk, page);
-        if missed && self.config.readahead > 0 {
-            self.stage_run(disk, page);
-        }
-        data
+        self.shards[self.shard_of(page)].lock().get(disk, page)
     }
 
-    /// Stages the `readahead` pages following `page`, clamped to the
-    /// disk's end (no wraparound: a Hilbert run ends at the last page).
-    fn stage_run(&self, disk: &Disk, page: PageId) {
-        let last = disk.page_count() as u64;
-        for i in 1..=self.config.readahead as u64 {
-            let q = page.0 as u64 + i;
-            if q >= last {
-                break;
-            }
-            self.stage_one(disk, PageId(q as u32));
-        }
-    }
-
-    /// Stages one page into its shard (one lock acquisition, held only
-    /// for the staging itself).
-    // lint: allow(lock-reach) — same per-shard seam as `get`; staging
-    // runs at most `readahead` times per demand miss, never in a loop
-    // over the frontier.
-    fn stage_one(&self, disk: &Disk, page: PageId) {
-        let si = self.shard_of(page);
-        self.shards[si].lock().stage(disk, page);
-    }
-
-    /// Drops every cached page in every shard (demand counters are left
-    /// untouched; still-unread prefetched frames tally as wasted).
+    /// Drops every cached page in every shard (the counters are left
+    /// untouched).
     // lint: allow(lock-reach) — per-run housekeeping, one shard at a
     // time, outside any query loop.
     pub fn clear(&self) {
@@ -214,12 +171,7 @@ impl ShardedPool {
     /// Total frame capacity across shards (≥ the configured budget; the
     /// even split rounds up).
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.config.frames_per_shard()
-    }
-
-    /// The configuration this pool was built with.
-    pub fn config(&self) -> PoolConfig {
-        self.config
+        self.shards.len() * self.frames_per_shard
     }
 
     /// The stats handle every shard reports into.
@@ -240,11 +192,10 @@ mod tests {
         d
     }
 
-    fn config(frames: usize, shards: usize, readahead: usize) -> PoolConfig {
+    fn config(frames: usize, shards: usize) -> PoolConfig {
         PoolConfig {
             buffer_bytes: frames * PAGE_SIZE,
             shards,
-            readahead,
         }
     }
 
@@ -259,7 +210,7 @@ mod tests {
                 |(accesses, cap)| {
                     let d = disk_with(32);
                     let (s_new, s_old) = (IoStats::new(), IoStats::new());
-                    let sharded = ShardedPool::new(config(cap, 1, 0), s_new.clone());
+                    let sharded = ShardedPool::new(config(cap, 1), s_new.clone());
                     let mut legacy = BufferPool::new(cap, s_old.clone());
                     for &a in &accesses {
                         let x = sharded.get(&d, PageId(a));
@@ -280,12 +231,12 @@ mod tests {
 
     #[test]
     fn shard_split_covers_the_frame_budget() {
-        let pool = ShardedPool::new(config(256, 4, 0), IoStats::new());
+        let pool = ShardedPool::new(config(256, 4), IoStats::new());
         assert_eq!(pool.capacity(), 256);
         // Uneven split rounds up, at least one frame per shard.
-        let pool = ShardedPool::new(config(5, 4, 0), IoStats::new());
+        let pool = ShardedPool::new(config(5, 4), IoStats::new());
         assert_eq!(pool.capacity(), 8);
-        let pool = ShardedPool::new(config(1, 8, 0), IoStats::new());
+        let pool = ShardedPool::new(config(1, 8), IoStats::new());
         assert!(pool.capacity() >= 8);
     }
 
@@ -299,7 +250,7 @@ mod tests {
             // 64 frames *per shard*: the page→shard hash is uneven, so
             // only a per-shard capacity ≥ the page count rules out
             // evictions for every shard count.
-            let pool = ShardedPool::new(config(64 * shards, shards, 0), stats.clone());
+            let pool = ShardedPool::new(config(64 * shards, shards), stats.clone());
             for round in 0..3 {
                 for p in 0..64u32 {
                     let b = pool.get(&d, PageId(p));
@@ -314,55 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn readahead_turns_sequential_misses_into_prefetch_hits() {
-        let d = disk_with(32);
-        let stats = IoStats::new();
-        let pool = ShardedPool::new(config(32, 4, 4), stats.clone());
-        for p in 0..32u32 {
-            pool.get(&d, PageId(p));
-        }
-        let s = stats.snapshot();
-        // A sequential scan with depth-4 readahead demand-misses roughly
-        // every 5th page; the rest are prefetch hits.
-        assert!(s.faults < 10, "faults {} should collapse", s.faults);
-        assert!(s.prefetch_hits >= 24, "hits {}", s.prefetch_hits);
-        assert_eq!(s.faults + s.prefetch_hits, 32);
-        assert_eq!(s.logical, 32, "every demand request is still counted");
-    }
-
-    #[test]
-    fn readahead_off_is_bitwise_silent() {
-        let d = disk_with(16);
-        let stats = IoStats::new();
-        let pool = ShardedPool::new(config(4, 2, 0), stats.clone());
-        for i in 0..100u32 {
-            pool.get(&d, PageId(i % 16));
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.prefetch_issued, 0);
-        assert_eq!(s.prefetch_hits, 0);
-        assert_eq!(s.prefetch_wasted, 0);
-    }
-
-    #[test]
-    fn readahead_stops_at_the_last_page() {
-        let d = disk_with(4);
-        let stats = IoStats::new();
-        let pool = ShardedPool::new(config(8, 2, 8), stats.clone());
-        pool.get(&d, PageId(3)); // nothing after the last page
-        assert_eq!(stats.snapshot().prefetch_issued, 0);
-        // Only pages 2 and 3 exist ahead of page 1, and 3 is already
-        // cached (staging a cached page is a silent no-op).
-        pool.get(&d, PageId(1));
-        assert_eq!(stats.snapshot().prefetch_issued, 1);
-        assert!(pool.contains(PageId(2)));
-    }
-
-    #[test]
     fn clear_and_fault_plan_reach_every_shard() {
         let d = disk_with(16);
         let stats = IoStats::new();
-        let pool = ShardedPool::new(config(64, 4, 0), stats.clone());
+        let pool = ShardedPool::new(config(64, 4), stats.clone());
         for p in 0..16u32 {
             pool.get(&d, PageId(p));
         }
@@ -389,7 +295,7 @@ mod tests {
         // account every request exactly once.
         let d = disk_with(64);
         let stats = IoStats::new();
-        let pool = ShardedPool::new(config(256, 4, 0), stats.clone());
+        let pool = ShardedPool::new(config(256, 4), stats.clone());
         std::thread::scope(|s| {
             for t in 0..4 {
                 let (pool, d) = (&pool, &d);

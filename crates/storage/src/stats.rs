@@ -22,9 +22,6 @@ struct Counters {
     injected_errors: AtomicU64,
     retries: AtomicU64,
     backoff_us: AtomicU64,
-    prefetch_issued: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -48,17 +45,6 @@ pub struct IoSnapshot {
     /// in microseconds. Modeled (accumulated, never slept), so it is a
     /// deterministic function of the fault schedule.
     pub backoff_us: u64,
-    /// Pages staged speculatively by Hilbert-run readahead. Metered
-    /// separately from `faults`: a prefetch read is *not* a demand miss,
-    /// so the paper's page-fault series stays exact whether or not
-    /// readahead is on (and bitwise unchanged when it is off).
-    pub prefetch_issued: u64,
-    /// Demand requests served by a frame that readahead staged — the
-    /// faults readahead actually saved.
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted (or dropped by a pool clear) before any
-    /// demand request touched them — readahead's wasted disk reads.
-    pub prefetch_wasted: u64,
 }
 
 impl IoSnapshot {
@@ -73,9 +59,6 @@ impl IoSnapshot {
             injected_errors: self.injected_errors.saturating_sub(earlier.injected_errors),
             retries: self.retries.saturating_sub(earlier.retries),
             backoff_us: self.backoff_us.saturating_sub(earlier.backoff_us),
-            prefetch_issued: self.prefetch_issued.saturating_sub(earlier.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            prefetch_wasted: self.prefetch_wasted.saturating_sub(earlier.prefetch_wasted),
         }
     }
 
@@ -134,28 +117,6 @@ impl IoStats {
             .fetch_add(backoff_us, Ordering::Relaxed);
     }
 
-    /// Records one page staged by readahead. Deliberately does **not**
-    /// touch `logical` or `faults`: prefetch I/O is speculative and must
-    /// never perturb the demand-miss accounting the determinism contract
-    /// pins (DESIGN.md §16).
-    #[inline]
-    pub fn record_prefetch_issued(&self) {
-        self.inner.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a demand request served by a prefetched frame (the demand
-    /// side is tallied separately via [`IoStats::record_hit`]).
-    #[inline]
-    pub fn record_prefetch_hit(&self) {
-        self.inner.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a prefetched frame discarded before any demand touch.
-    #[inline]
-    pub fn record_prefetch_wasted(&self) {
-        self.inner.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current total fault count (cold + warm) — the single load the
     /// per-pop budget checks need, cheaper than a full snapshot.
     #[inline]
@@ -173,9 +134,6 @@ impl IoStats {
             injected_errors: self.inner.injected_errors.load(Ordering::Relaxed),
             retries: self.inner.retries.load(Ordering::Relaxed),
             backoff_us: self.inner.backoff_us.load(Ordering::Relaxed),
-            prefetch_issued: self.inner.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: self.inner.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.inner.prefetch_wasted.load(Ordering::Relaxed),
         }
     }
 
@@ -188,9 +146,6 @@ impl IoStats {
         self.inner.injected_errors.store(0, Ordering::Relaxed);
         self.inner.retries.store(0, Ordering::Relaxed);
         self.inner.backoff_us.store(0, Ordering::Relaxed);
-        self.inner.prefetch_issued.store(0, Ordering::Relaxed);
-        self.inner.prefetch_hits.store(0, Ordering::Relaxed);
-        self.inner.prefetch_wasted.store(0, Ordering::Relaxed);
     }
 }
 
@@ -264,28 +219,6 @@ mod tests {
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
         assert_eq!(s.snapshot().hit_ratio(), 1.0);
-    }
-
-    #[test]
-    fn prefetch_counters_never_touch_demand_accounting() {
-        let s = IoStats::new();
-        s.record_prefetch_issued();
-        s.record_prefetch_issued();
-        s.record_prefetch_hit();
-        s.record_prefetch_wasted();
-        let snap = s.snapshot();
-        assert_eq!(snap.prefetch_issued, 2);
-        assert_eq!(snap.prefetch_hits, 1);
-        assert_eq!(snap.prefetch_wasted, 1);
-        // Speculative I/O is invisible to the paper's fault series.
-        assert_eq!(snap.logical, 0);
-        assert_eq!(snap.faults, 0);
-        s.record_prefetch_hit();
-        let d = s.snapshot().since(&snap);
-        assert_eq!(d.prefetch_hits, 1);
-        assert_eq!(d.prefetch_issued, 0);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]

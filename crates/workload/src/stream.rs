@@ -25,8 +25,8 @@
 //! [`StoreBuilder`]. Staging memory is therefore one chunk buffer plus
 //! one 4 KB page per run plus the node directory — never the full
 //! adjacency — and the peak is metered and (optionally) enforced against
-//! a budget. Pages come out in Hilbert order, exactly the clustering the
-//! buffer pool's readahead expects.
+//! a budget. Pages come out in Hilbert order, the same clustering
+//! [`NetworkStore::build`] gives an in-memory network.
 
 use rn_geom::{Mbr, Point};
 use rn_graph::hilbert::hilbert_value;

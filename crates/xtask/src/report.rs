@@ -211,15 +211,15 @@ justification; the blessing also stops traversal through that function.",
         "no function in the sharded pool may acquire two shard locks",
         "The sharded buffer pool's no-deadlock argument is that no execution ever holds
 two shard locks at once: every method acquires exactly one shard guard, drops
-it, and only then may take another (the readahead path releases the demand
-shard before staging). Two `.lock(` sites in one function body is the shape
-that breaks this — worker A holds shard 0 wanting shard 1 while worker B holds
-the reverse — so the rule flags the second site. A single `.lock(` inside a
-loop is fine (each guard drops before the next acquisition). Scoped to
-crates/storage/src/shard.rs, where every Mutex is a shard lock; the
-uncontended-seam story the locks live under is lock-reach's job. Suppress a
-proven-safe ordering with `// lint: allow(shard-lock)` on the function
-definition or the flagged line.",
+it, and only then may take another (a page request takes one shard lock; the
+housekeeping methods visit the shards one at a time). Two `.lock(` sites in
+one function body is the shape that breaks this — worker A holds shard 0
+wanting shard 1 while worker B holds the reverse — so the rule flags the
+second site. A single `.lock(` inside a loop is fine (each guard drops before
+the next acquisition). Scoped to crates/storage/src/shard.rs, where every
+Mutex is a shard lock; the uncontended-seam story the locks live under is
+lock-reach's job. Suppress a proven-safe ordering with
+`// lint: allow(shard-lock)` on the function definition or the flagged line.",
     ),
 ];
 
